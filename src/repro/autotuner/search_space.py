@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.function import Function
-from repro.core.loop_level import LoopLevel
 from repro.core.pipeline_schedule import Schedule
 from repro.core.schedule import FuncSchedule, ScheduleError
-from repro.core.split import TailStrategy
 
 __all__ = ["FunctionGene", "ScheduleGenome", "POWER_OF_TWO_SIZES", "MAX_DOMAIN_OPS"]
 
@@ -92,8 +90,7 @@ class ScheduleGenome:
             if func is None or func.schedule is None:
                 continue
             schedule = FuncSchedule(func.args)
-            _apply_domain_ops(schedule, gene.domain_ops)
-            _apply_call_schedule(schedule, gene.call_schedule, func, output_name)
+            _apply_gene(schedule, gene, func, output_name)
             schedules[name] = schedule
         return schedules
 
@@ -136,93 +133,80 @@ def _resolve_dim(schedule: FuncSchedule, var: str, prefer_inner: bool) -> str:
     raise ScheduleError(f"no loop dimension for {var!r} in {schedule.dim_names()}")
 
 
-def _apply_domain_ops(schedule: FuncSchedule, ops: Sequence[Tuple]) -> None:
-    for op in ops[:MAX_DOMAIN_OPS]:
-        kind = op[0]
-        if kind == "split":
-            var, factor = op[1], op[2]
-            tail = TailStrategy(op[3]) if len(op) > 3 else TailStrategy.ROUND_UP
-            var = _resolve_dim(schedule, var, prefer_inner=True)
-            schedule.split(var, f"{var}_o", f"{var}_i", int(factor), tail)
-        elif kind == "tile":
-            _, xfactor, yfactor = op
-            dims = schedule.storage_dims
-            if len(dims) < 2:
-                raise ScheduleError("tile requires at least two storage dimensions")
-            x, y = dims[0], dims[1]
-            schedule.split(x, f"{x}_o", f"{x}_i", int(xfactor))
-            schedule.split(y, f"{y}_o", f"{y}_i", int(yfactor))
-            schedule.reorder([f"{x}_i", f"{y}_i", f"{x}_o", f"{y}_o"])
-        elif kind == "reorder":
-            schedule.reorder(list(op[1]))
-        elif kind == "parallel":
-            schedule.parallel(_resolve_dim(schedule, op[1], prefer_inner=False))
-        elif kind == "vectorize":
-            _, var, width = op
-            var = _resolve_dim(schedule, var, prefer_inner=True)
-            if schedule.constant_extent(var) == int(width):
-                schedule.vectorize(var)
-            else:
-                schedule.split(var, f"{var}_vo", f"{var}_vi", int(width))
-                schedule.vectorize(f"{var}_vi")
-        elif kind == "unroll":
-            _, var, count = op
-            var = _resolve_dim(schedule, var, prefer_inner=True)
-            if schedule.constant_extent(var) == int(count):
-                schedule.unroll(var)
-            else:
-                schedule.split(var, f"{var}_uo", f"{var}_ui", int(count))
-                schedule.unroll(f"{var}_ui")
-        elif kind == "storage_fold":
-            _, var, factor = op
-            # storage_fold addresses a *storage* dimension: splits rename loop
-            # dims but leave storage dims intact, so no _resolve_dim here.
-            if var not in schedule.storage_dims:
-                raise ScheduleError(
-                    f"storage_fold targets storage dimension {var!r}, "
-                    f"not one of {list(schedule.storage_dims)!r}")
-            schedule.storage_folds[var] = int(factor)
-        elif kind == "gpu_tile":
-            _, xfactor, yfactor = op
-            dims = schedule.storage_dims
-            if len(dims) < 2:
-                raise ScheduleError("gpu_tile requires at least two storage dimensions")
-            x, y = dims[0], dims[1]
-            schedule.split(x, f"{x}_blk", f"{x}_thr", int(xfactor))
-            schedule.split(y, f"{y}_blk", f"{y}_thr", int(yfactor))
-            schedule.reorder([f"{x}_thr", f"{y}_thr", f"{x}_blk", f"{y}_blk"])
-            schedule.gpu_threads(f"{x}_thr")
-            schedule.gpu_threads(f"{y}_thr")
-            schedule.gpu_blocks(f"{x}_blk")
-            schedule.gpu_blocks(f"{y}_blk")
-        elif kind == "rdom_outer":
-            # Interchange update nests: RDom loops outermost, pure loops
-            # inside.  Soundness is validated per function during lowering.
-            schedule.rdom_outer = True
-        else:
+# ----------------------------------------------------------------------
+# Lowering genes to table directives (repro.core.schedule.DIRECTIVES).
+# Genes elide names; each entry below supplies them — given the schedule so
+# far, since ``var`` resolves late — and FuncSchedule.apply does the rest.
+# ----------------------------------------------------------------------
+def _split(schedule: FuncSchedule, var: str, factor: int, *tail) -> List[Tuple]:
+    var = _resolve_dim(schedule, var, prefer_inner=True)
+    return [("split", var, f"{var}_o", f"{var}_i", factor, *tail)]
+
+
+def _tile_dims(schedule: FuncSchedule, kind: str) -> Tuple[str, str]:
+    if len(schedule.storage_dims) < 2:
+        raise ScheduleError(f"{kind} requires at least two storage dimensions")
+    return schedule.storage_dims[0], schedule.storage_dims[1]
+
+
+def _tile(schedule: FuncSchedule, xfactor: int, yfactor: int) -> List[Tuple]:
+    x, y = _tile_dims(schedule, "tile")
+    return [("tile", x, y, f"{x}_o", f"{y}_o", f"{x}_i", f"{y}_i", xfactor, yfactor)]
+
+
+def _gpu_tile(schedule: FuncSchedule, xfactor: int, yfactor: int) -> List[Tuple]:
+    x, y = _tile_dims(schedule, "gpu_tile")
+    return [("gpu_tile", x, y, f"{x}_thr", f"{y}_thr", xfactor, yfactor)]
+
+
+def _split_and_mark(mark: str, tag: str):
+    """``(mark, var, n)``: mark the dimension if its extent is already ``n``,
+    else its ``<var>_<tag>i`` half after a split by ``n``."""
+    def lower(schedule: FuncSchedule, var: str, n: int) -> List[Tuple]:
+        var = _resolve_dim(schedule, var, prefer_inner=True)
+        if schedule.constant_extent(var) == n:
+            return [(mark, var)]
+        outer, inner = f"{var}_{tag}o", f"{var}_{tag}i"
+        return [("split", var, outer, inner, n), (mark, inner)]
+    return lower
+
+
+_DOMAIN_OPS = {
+    "split": _split,
+    "tile": _tile,
+    "gpu_tile": _gpu_tile,
+    "vectorize": _split_and_mark("vectorize", "v"),
+    "unroll": _split_and_mark("unroll", "u"),
+    "parallel": lambda s, var: [("parallel", _resolve_dim(s, var, prefer_inner=False))],
+    "reorder": lambda s, order: [("reorder", order)],
+    # storage_fold addresses a *storage* dimension: splits rename loop dims
+    # but leave storage dims intact, so no _resolve_dim here.
+    "storage_fold": lambda s, dim, factor: [("storage_fold", dim, factor)],
+    "rdom_outer": lambda s: [("rdom_outer",)],
+}
+
+_CALL_SCHEDULES = {
+    "inline": lambda: [("compute_inline",)],
+    "root": lambda: [("compute_root",)],
+    # compute_at also places the (so far unplaced) storage at the same loop.
+    "at": lambda consumer, var: [("compute_at", consumer, var)],
+    "at_store": lambda consumer, store_var, compute_var: [
+        ("store_at", consumer, store_var), ("compute_at", consumer, compute_var)],
+}
+
+
+def _apply_gene(schedule: FuncSchedule, gene: FunctionGene, func: Function,
+                output_name: str) -> None:
+    """Lower ``gene`` to table directives and replay them onto ``schedule``."""
+    for kind, *args in gene.domain_ops[:MAX_DOMAIN_OPS]:
+        if kind not in _DOMAIN_OPS:
             raise ScheduleError(f"unknown domain op {kind!r}")
-
-
-def _apply_call_schedule(schedule: FuncSchedule, call_schedule: Tuple,
-                         func: Function, output_name: str) -> None:
-    kind = call_schedule[0]
-    if func.name == output_name:
-        schedule.compute_root()
-        return
-    if kind == "inline":
-        if func.has_updates():
-            schedule.compute_root()
-        else:
-            schedule.compute_inline()
-    elif kind == "root":
-        schedule.compute_root()
-    elif kind == "at":
-        _, consumer, var = call_schedule
-        schedule.compute_at(LoopLevel.at(consumer, var))
-        schedule.store_at(LoopLevel.at(consumer, var))
-    elif kind == "at_store":
-        _, consumer, store_var, compute_var = call_schedule
-        schedule.store_at(LoopLevel.at(consumer, store_var))
-        schedule.compute_at(LoopLevel.at(consumer, compute_var))
-    else:
+        for directive in _DOMAIN_OPS[kind](schedule, *args):
+            schedule.apply(*directive)
+    kind, *args = gene.call_schedule
+    if func.name == output_name or (kind == "inline" and func.has_updates()):
+        kind, args = "root", ()
+    if kind not in _CALL_SCHEDULES:
         raise ScheduleError(f"unknown call schedule {kind!r}")
+    for directive in _CALL_SCHEDULES[kind](*args):
+        schedule.apply(*directive)

@@ -225,7 +225,7 @@ def _build_update_loop_nest(func: Function, stage: int) -> S.Stmt:
             inner,
         )
 
-    if schedule.rdom_outer and rvar_loops:
+    if schedule.rdom_is_outer and rvar_loops:
         # Interchanged nest: pure-variable loops innermost (first argument
         # innermost), reduction loops hoisted outside.  Sound only when
         # pure-var points are independent — validated here; violations are

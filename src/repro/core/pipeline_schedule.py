@@ -11,28 +11,10 @@ function name -> directive list that can be
 * applied *non-destructively* at lowering time, so one algorithm graph can
   be realized under many schedules concurrently.
 
-A directive is a plain tuple ``(op, *args)``.  The vocabulary mirrors the
-chainable :class:`~repro.lang.func.Func` methods:
-
-======================  =====================================================
-``("split", old, outer, inner, factor[, tail])``  split a loop dimension
-``("tile", x, y, xo, yo, xi, yi, xf, yf)``        split both + reorder
-``("reorder", [v0, v1, ...])``                    loop order, innermost first
-``("parallel", var)`` / ``("serial", var)``       execution markings
-``("vectorize", var[, width])``                   vectorize (split first if
-                                                  a width is given)
-``("unroll", var[, factor])``                     unroll
-``("gpu_blocks", var)`` / ``("gpu_threads", var)``  GPU mappings
-``("gpu_tile", x, y, xi, yi, xf, yf)``            tile onto the GPU grid
-``("bound", var, min, extent)``                   bounds promise
-``("storage_fold", var, factor)``                 forced storage fold
-``("rdom_outer",)``                               hoist reduction loops
-                                                  outside pure-var loops in
-                                                  update stages
-``("compute_root",)`` / ``("compute_inline",)``   call schedule
-``("compute_at", func, var)``
-``("store_root",)`` / ``("store_at", func, var)``
-======================  =====================================================
+A directive is a plain tuple ``(op, *args)`` — a row of
+:data:`repro.core.schedule.DIRECTIVES`, whose meaning is the
+:class:`FuncSchedule` method of the same name (reference table:
+docs/scheduling.md, "The two axes of a schedule").
 
 Directives are applied in order to a fresh :class:`FuncSchedule`; functions
 the schedule does not mention get the default (inline/root) schedule, so
@@ -43,40 +25,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 from collections.abc import Mapping
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dims import ForType
 from repro.core.loop_level import LoopLevel
-from repro.core.schedule import FuncSchedule, ScheduleError
-from repro.core.split import TailStrategy
+from repro.core.schedule import (
+    FluentDirectives,
+    FuncSchedule,
+    ScheduleError,
+    as_name,
+    normalize_directive,
+)
 
 __all__ = ["Schedule", "ScheduleBuilder", "as_schedule"]
 
 SCHEDULE_FORMAT_VERSION = 1
-
-#: op name -> number of required arguments (None = variadic, checked ad hoc).
-_DIRECTIVE_ARITY = {
-    "split": (4, 5),
-    "tile": (8, 8),
-    "reorder": (1, 1),
-    "parallel": (1, 1),
-    "serial": (1, 1),
-    "vectorize": (1, 2),
-    "unroll": (1, 2),
-    "gpu_blocks": (1, 1),
-    "gpu_threads": (1, 1),
-    "gpu_tile": (6, 6),
-    "bound": (3, 3),
-    "storage_fold": (2, 2),
-    "rdom_outer": (0, 0),
-    "compute_root": (0, 0),
-    "compute_inline": (0, 0),
-    "compute_at": (2, 2),
-    "store_root": (0, 0),
-    "store_at": (2, 2),
-}
 
 _MARK_OPS = {
     ForType.PARALLEL: "parallel",
@@ -85,124 +49,6 @@ _MARK_OPS = {
     ForType.GPU_BLOCK: "gpu_blocks",
     ForType.GPU_THREAD: "gpu_threads",
 }
-
-
-def _name_of(value) -> str:
-    """Accept Vars, Funcs or plain strings wherever a name is expected."""
-    return value.name if hasattr(value, "name") else str(value)
-
-
-def _coerce_arg(value):
-    """Canonicalize one directive argument: integers (including numpy integer
-    scalars) become plain ints — so semantically equal schedules share one
-    digest — and everything else is treated as a name.  Non-integral numbers
-    are rejected here rather than failing obscurely at apply time."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    if isinstance(value, float):
-        raise ScheduleError(
-            f"directive argument {value!r} must be an integer or a dimension name"
-        )
-    return _name_of(value)
-
-
-def _normalize_directive(directive: Sequence) -> Tuple:
-    """Canonicalize one directive: tuples throughout, validated op + arity."""
-    if not directive:
-        raise ScheduleError("empty schedule directive")
-    op = str(directive[0])
-    if op not in _DIRECTIVE_ARITY:
-        raise ScheduleError(
-            f"unknown schedule directive {op!r}; known: {', '.join(sorted(_DIRECTIVE_ARITY))}"
-        )
-    args = list(directive[1:])
-    low, high = _DIRECTIVE_ARITY[op]
-    if not low <= len(args) <= high:
-        raise ScheduleError(f"directive {op!r} takes {low}..{high} arguments, got {len(args)}")
-    if op == "reorder":
-        args[0] = tuple(_name_of(v) for v in args[0])
-    else:
-        args = [_coerce_arg(a) for a in args]
-    return (op, *args)
-
-
-def _fresh_names(schedule: FuncSchedule, base: str) -> Tuple[str, str]:
-    """Fresh outer/inner names for implicit splits (same rule as Func)."""
-    outer, inner = f"{base}o", f"{base}i"
-    suffix = 0
-    while schedule.has_dim(outer) or schedule.has_dim(inner):
-        suffix += 1
-        outer, inner = f"{base}o{suffix}", f"{base}i{suffix}"
-    return outer, inner
-
-
-def _apply_directive(schedule: FuncSchedule, directive: Tuple) -> None:
-    """Replay one directive onto a FuncSchedule (mirrors the Func methods)."""
-    op, *args = directive
-    if op == "split":
-        old, outer, inner, factor = args[:4]
-        tail = TailStrategy(args[4]) if len(args) > 4 else TailStrategy.ROUND_UP
-        schedule.split(old, outer, inner, int(factor), tail)
-    elif op == "tile":
-        x, y, xo, yo, xi, yi, xf, yf = args
-        schedule.split(x, xo, xi, int(xf))
-        schedule.split(y, yo, yi, int(yf))
-        schedule.reorder([xi, yi, xo, yo])
-    elif op == "reorder":
-        schedule.reorder(list(args[0]))
-    elif op == "parallel":
-        schedule.parallel(args[0])
-    elif op == "serial":
-        schedule.serial(args[0])
-    elif op == "vectorize":
-        if len(args) > 1:
-            outer, inner = _fresh_names(schedule, args[0])
-            schedule.split(args[0], outer, inner, int(args[1]))
-            schedule.vectorize(inner)
-        else:
-            schedule.vectorize(args[0])
-    elif op == "unroll":
-        if len(args) > 1:
-            outer, inner = _fresh_names(schedule, args[0])
-            schedule.split(args[0], outer, inner, int(args[1]))
-            schedule.unroll(inner)
-        else:
-            schedule.unroll(args[0])
-    elif op == "gpu_blocks":
-        schedule.gpu_blocks(args[0])
-    elif op == "gpu_threads":
-        schedule.gpu_threads(args[0])
-    elif op == "gpu_tile":
-        x, y, xi, yi, xf, yf = args
-        xo, yo = f"{x}_blk", f"{y}_blk"
-        schedule.split(x, xo, xi, int(xf))
-        schedule.split(y, yo, yi, int(yf))
-        schedule.reorder([xi, yi, xo, yo])
-        schedule.gpu_blocks(xo)
-        schedule.gpu_blocks(yo)
-        schedule.gpu_threads(xi)
-        schedule.gpu_threads(yi)
-    elif op == "bound":
-        schedule.bound(args[0], int(args[1]), int(args[2]))
-    elif op == "storage_fold":
-        schedule.storage_folds[args[0]] = int(args[1])
-    elif op == "rdom_outer":
-        schedule.rdom_outer = True
-    elif op == "compute_root":
-        schedule.compute_root()
-    elif op == "compute_inline":
-        schedule.compute_inline()
-    elif op == "compute_at":
-        schedule.compute_at(LoopLevel.at(args[0], args[1]))
-    elif op == "store_root":
-        schedule.store_root()
-    elif op == "store_at":
-        schedule.store_at(LoopLevel.at(args[0], args[1]))
-    else:  # pragma: no cover - guarded by _normalize_directive
-        raise ScheduleError(f"unknown schedule directive {op!r}")
 
 
 def _capture_func_schedule(sched: FuncSchedule) -> Tuple[Tuple, ...]:
@@ -224,7 +70,7 @@ def _capture_func_schedule(sched: FuncSchedule) -> Tuple[Tuple, ...]:
         directives.append(("bound", var, int(mn), int(extent)))
     for var in sorted(sched.storage_folds):
         directives.append(("storage_fold", var, int(sched.storage_folds[var])))
-    if sched.rdom_outer:
+    if sched.rdom_is_outer:
         directives.append(("rdom_outer",))
     for d in sched.dims:
         if d.for_type != ForType.SERIAL:
@@ -258,7 +104,7 @@ class Schedule:
     def __init__(self, funcs: Optional[Mapping[str, Iterable[Sequence]]] = None):
         normalized: Dict[str, Tuple[Tuple, ...]] = {}
         for name, directives in (funcs or {}).items():
-            normalized[str(name)] = tuple(_normalize_directive(d) for d in directives)
+            normalized[str(name)] = tuple(normalize_directive(d) for d in directives)
         object.__setattr__(self, "_funcs", normalized)
 
     def __setattr__(self, name, value):
@@ -269,17 +115,17 @@ class Schedule:
     # ------------------------------------------------------------------
     def func(self, name) -> "ScheduleBuilder":
         """A fluent cursor appending directives for one function."""
-        return ScheduleBuilder(self, _name_of(name))
+        return ScheduleBuilder(self, as_name(name))
 
     def with_directives(self, name: str, *directives: Sequence) -> "Schedule":
         """A new Schedule with ``directives`` appended for function ``name``."""
         funcs = dict(self._funcs)
-        funcs[name] = funcs.get(name, ()) + tuple(_normalize_directive(d) for d in directives)
+        funcs[name] = funcs.get(name, ()) + tuple(normalize_directive(d) for d in directives)
         return Schedule(funcs)
 
     def without_func(self, name: str) -> "Schedule":
         """A new Schedule with every directive of ``name`` dropped."""
-        funcs = {n: d for n, d in self._funcs.items() if n != _name_of(name)}
+        funcs = {n: d for n, d in self._funcs.items() if n != as_name(name)}
         return Schedule(funcs)
 
     def merged(self, other: "Schedule") -> "Schedule":
@@ -338,7 +184,7 @@ class Schedule:
 
     def directives(self, name) -> Tuple[Tuple, ...]:
         """The directive list recorded for one function (empty if absent)."""
-        return self._funcs.get(_name_of(name), ())
+        return self._funcs.get(as_name(name), ())
 
     def is_empty(self) -> bool:
         return not any(self._funcs.values())
@@ -366,7 +212,7 @@ class Schedule:
             schedule = FuncSchedule(func.args)
             for directive in self._funcs.get(name, ()):
                 try:
-                    _apply_directive(schedule, directive)
+                    schedule.apply(*directive)
                 except ScheduleError as error:
                     raise ScheduleError(f"in schedule of {name!r}: {error}") from None
             result[name] = schedule
@@ -454,13 +300,14 @@ class Schedule:
         return f"Schedule(funcs={sorted(self._funcs)}, digest={self.digest()})"
 
 
-class ScheduleBuilder:
+class ScheduleBuilder(FluentDirectives):
     """A fluent, immutable cursor over one function of a :class:`Schedule`.
 
-    Every directive method returns a *new* builder; ``.func(name)`` switches
-    the cursor; ``.schedule`` yields the accumulated Schedule.  Builders are
-    accepted anywhere a Schedule is (via :func:`as_schedule`), so chains never
-    need an explicit terminator.
+    Every directive method (:class:`~repro.core.schedule.FluentDirectives`)
+    returns a *new* builder; ``.func(name)`` switches the cursor;
+    ``.schedule`` yields the accumulated Schedule.  Builders are accepted
+    anywhere a Schedule is (via :func:`as_schedule`), so chains never need an
+    explicit terminator.
     """
 
     __slots__ = ("_sched", "_current")
@@ -477,82 +324,11 @@ class ScheduleBuilder:
         return self._sched
 
     def func(self, name) -> "ScheduleBuilder":
-        return ScheduleBuilder(self._sched, _name_of(name))
+        return ScheduleBuilder(self._sched, as_name(name))
 
-    def _add(self, *directive) -> "ScheduleBuilder":
-        return ScheduleBuilder(self._sched.with_directives(self._current, directive),
+    def _directive(self, op: str, *args) -> "ScheduleBuilder":
+        return ScheduleBuilder(self._sched.with_directives(self._current, (op, *args)),
                                self._current)
-
-    # -- domain order ---------------------------------------------------
-    def split(self, old, outer, inner, factor: int,
-              tail: TailStrategy = TailStrategy.ROUND_UP) -> "ScheduleBuilder":
-        tail = tail.value if isinstance(tail, TailStrategy) else str(tail)
-        return self._add("split", _name_of(old), _name_of(outer), _name_of(inner),
-                         int(factor), tail)
-
-    def tile(self, x, y, xo, yo, xi, yi, xfactor: int, yfactor: int) -> "ScheduleBuilder":
-        return self._add("tile", _name_of(x), _name_of(y), _name_of(xo), _name_of(yo),
-                         _name_of(xi), _name_of(yi), int(xfactor), int(yfactor))
-
-    def reorder(self, *vars) -> "ScheduleBuilder":
-        return self._add("reorder", tuple(_name_of(v) for v in vars))
-
-    def parallel(self, var) -> "ScheduleBuilder":
-        return self._add("parallel", _name_of(var))
-
-    def serial(self, var) -> "ScheduleBuilder":
-        return self._add("serial", _name_of(var))
-
-    def vectorize(self, var, width: Optional[int] = None) -> "ScheduleBuilder":
-        if width is None:
-            return self._add("vectorize", _name_of(var))
-        return self._add("vectorize", _name_of(var), int(width))
-
-    def unroll(self, var, factor: Optional[int] = None) -> "ScheduleBuilder":
-        if factor is None:
-            return self._add("unroll", _name_of(var))
-        return self._add("unroll", _name_of(var), int(factor))
-
-    def gpu_blocks(self, *vars) -> "ScheduleBuilder":
-        builder = self
-        for v in vars:
-            builder = builder._add("gpu_blocks", _name_of(v))
-        return builder
-
-    def gpu_threads(self, *vars) -> "ScheduleBuilder":
-        builder = self
-        for v in vars:
-            builder = builder._add("gpu_threads", _name_of(v))
-        return builder
-
-    def gpu_tile(self, x, y, xi, yi, xfactor: int, yfactor: int) -> "ScheduleBuilder":
-        return self._add("gpu_tile", _name_of(x), _name_of(y), _name_of(xi),
-                         _name_of(yi), int(xfactor), int(yfactor))
-
-    def bound(self, var, min_value: int, extent: int) -> "ScheduleBuilder":
-        return self._add("bound", _name_of(var), int(min_value), int(extent))
-
-    def storage_fold(self, var, factor: int) -> "ScheduleBuilder":
-        return self._add("storage_fold", _name_of(var), int(factor))
-
-    def rdom_outer(self) -> "ScheduleBuilder":
-        return self._add("rdom_outer")
-
-    # -- call schedule --------------------------------------------------
-    def compute_at(self, consumer, var) -> "ScheduleBuilder":
-        return self._add("compute_at", _name_of(consumer), _name_of(var))
-
-    def compute_root(self) -> "ScheduleBuilder":
-        return self._add("compute_root")
-
-    def compute_inline(self) -> "ScheduleBuilder":
-        return self._add("compute_inline")
-
-    def store_at(self, consumer, var) -> "ScheduleBuilder":
-        return self._add("store_at", _name_of(consumer), _name_of(var))
-
-    def store_root(self) -> "ScheduleBuilder":
-        return self._add("store_root")
 
     # -- Schedule delegation (a builder is usable as a Schedule) --------
     def funcs(self):

@@ -13,14 +13,12 @@ never interact: the schedule can only change *how* the pipeline runs, never
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.function import Function
-from repro.core.loop_level import LoopLevel
-from repro.core.schedule import ScheduleError
-from repro.core.split import TailStrategy
+from repro.core.schedule import FluentDirectives
 from repro.ir import op
 from repro.ir.expr import Call, CallType, Expr
 from repro.lang.rdom import RDom, RVar, rvars_in
@@ -75,8 +73,13 @@ def _lower_func_refs(e: Expr) -> Expr:
     return _Lower().mutate(op.as_expr(e))
 
 
-class Func:
-    """One stage of a pipeline (a wrapper around :class:`repro.core.function.Function`)."""
+class Func(FluentDirectives):
+    """One stage of a pipeline (a wrapper around :class:`repro.core.function.Function`).
+
+    The chainable scheduling methods (``split``, ``tile``, ``compute_at``, ...
+    — one per row of :data:`repro.core.schedule.DIRECTIVES`) apply to this
+    stage's :class:`~repro.core.schedule.FuncSchedule` and return the Func.
+    """
 
     def __init__(self, name: Optional[str] = None):
         self.function = Function(name if name is not None else f"f{next(_counter)}")
@@ -150,156 +153,10 @@ class Func:
         self.function.define_update(arg_exprs, value, rdom)
 
     # ------------------------------------------------------------------
-    # domain-order scheduling directives (all return self for chaining)
+    # scheduling: every directive method comes from FluentDirectives
     # ------------------------------------------------------------------
-    @staticmethod
-    def _name_of(v) -> str:
-        return v.name if hasattr(v, "name") else str(v)
-
-    def split(self, old, outer, inner, factor: int,
-              tail: TailStrategy = TailStrategy.ROUND_UP) -> "Func":
-        """Split dimension ``old`` into ``outer`` (slow) and ``inner`` (fast) by ``factor``."""
-        self.schedule.split(self._name_of(old), self._name_of(outer),
-                            self._name_of(inner), factor, tail)
-        return self
-
-    def tile(self, x, y, xo, yo, xi, yi, xfactor: int, yfactor: int) -> "Func":
-        """Tile the (x, y) domain: split both and order the tile loops innermost."""
-        self.split(x, xo, xi, xfactor)
-        self.split(y, yo, yi, yfactor)
-        self.reorder(xi, yi, xo, yo)
-        return self
-
-    def reorder(self, *vars) -> "Func":
-        """Reorder loop dimensions; arguments are given innermost first."""
-        self.schedule.reorder([self._name_of(v) for v in vars])
-        return self
-
-    def parallel(self, var) -> "Func":
-        """Execute a dimension's iterations in parallel."""
-        self.schedule.parallel(self._name_of(var))
-        return self
-
-    def serial(self, var) -> "Func":
-        """Execute a dimension sequentially (the default)."""
-        self.schedule.serial(self._name_of(var))
-        return self
-
-    def vectorize(self, var, factor: Optional[int] = None) -> "Func":
-        """Vectorize a dimension.
-
-        With ``factor``, the dimension is first split by the vector width (the
-        outer part keeps iterating serially and gets the name ``<var>o``, the
-        inner part ``<var>i`` is vectorized); without, the dimension must
-        already have a constant extent (e.g. be the inner half of a split).
-        """
-        name = self._name_of(var)
-        if factor is not None:
-            outer, inner = self._fresh_names(name)
-            self.schedule.split(name, outer, inner, factor)
-            self.schedule.vectorize(inner)
-        else:
-            self.schedule.vectorize(name)
-        return self
-
-    def unroll(self, var, factor: Optional[int] = None) -> "Func":
-        """Unroll a dimension (splitting first when a factor is given)."""
-        name = self._name_of(var)
-        if factor is not None:
-            outer, inner = self._fresh_names(name)
-            self.schedule.split(name, outer, inner, factor)
-            self.schedule.unroll(inner)
-        else:
-            self.schedule.unroll(name)
-        return self
-
-    def _fresh_names(self, base: str) -> Tuple[str, str]:
-        outer, inner = f"{base}o", f"{base}i"
-        suffix = 0
-        while self.schedule.has_dim(outer) or self.schedule.has_dim(inner):
-            suffix += 1
-            outer, inner = f"{base}o{suffix}", f"{base}i{suffix}"
-        return outer, inner
-
-    def bound(self, var, min_value: int, extent: int) -> "Func":
-        """Promise the realized bounds of a storage dimension (e.g. color channels)."""
-        self.schedule.bound(self._name_of(var), min_value, extent)
-        return self
-
-    def gpu_blocks(self, *vars) -> "Func":
-        """Map dimensions onto the simulated GPU's block grid."""
-        for v in vars:
-            self.schedule.gpu_blocks(self._name_of(v))
-        return self
-
-    def gpu_threads(self, *vars) -> "Func":
-        """Map dimensions onto the simulated GPU's threads within a block."""
-        for v in vars:
-            self.schedule.gpu_threads(self._name_of(v))
-        return self
-
-    def gpu_tile(self, x, y, xi, yi, xfactor: int, yfactor: int) -> "Func":
-        """Tile and map the tile grid to GPU blocks and the intra-tile loops to threads."""
-        xo, yo = Var(f"{self._name_of(x)}_blk"), Var(f"{self._name_of(y)}_blk")
-        self.tile(x, y, xo, yo, xi, yi, xfactor, yfactor)
-        self.gpu_blocks(xo, yo)
-        self.gpu_threads(xi, yi)
-        return self
-
-    # ------------------------------------------------------------------
-    # call-schedule directives
-    # ------------------------------------------------------------------
-    def compute_at(self, consumer: "Func", var) -> "Func":
-        """Compute this stage as needed for each iteration of ``consumer``'s loop ``var``."""
-        self.schedule.compute_at(LoopLevel.at(consumer.name, self._name_of(var)))
-        return self
-
-    def compute_root(self) -> "Func":
-        """Compute this stage entirely before any consumer runs (breadth-first)."""
-        self.schedule.compute_root()
-        return self
-
-    def compute_inline(self) -> "Func":
-        """Inline this stage into its callers (the default for pure stages)."""
-        self.schedule.compute_inline()
-        return self
-
-    def store_at(self, consumer: "Func", var) -> "Func":
-        """Allocate this stage's storage at ``consumer``'s loop ``var``."""
-        self.schedule.store_at(LoopLevel.at(consumer.name, self._name_of(var)))
-        return self
-
-    def store_root(self) -> "Func":
-        """Allocate this stage's storage outside all loops."""
-        self.schedule.store_root()
-        return self
-
-    def rdom_outer(self) -> "Func":
-        """Iterate update stages with the reduction loops hoisted outermost.
-
-        The default update nest runs the RDom loops innermost; with this
-        directive the free pure-variable loops run inside (first argument
-        innermost), which exposes them to batching and parallelism — e.g. an
-        ordered blend ``f[x, y] = f[x, y] * (1 - a) + src * a`` becomes a
-        per-``r`` data-parallel sweep over the image.  Lowering validates the
-        interchange is observationally sound (the update must reference the
-        function only at its own point, and the RDom bounds must not depend
-        on the pure variables) and raises
-        :class:`~repro.core.schedule.ScheduleError` otherwise.
-        """
-        self.schedule.rdom_outer = True
-        return self
-
-    def storage_fold(self, var, factor: int) -> "Func":
-        """Fold this stage's storage along ``var`` into a ring of ``factor`` entries.
-
-        The factor need not be a power of two, but must cover the widest
-        window any consumer iteration touches; an illegal fold raises
-        :class:`~repro.core.schedule.ScheduleError` during lowering with a
-        diagnostic saying why (parallel consumer loop, non-constant window,
-        non-marching accesses, ...).
-        """
-        self.schedule.storage_folds[self._name_of(var)] = int(factor)
+    def _directive(self, op: str, *args) -> "Func":
+        self.schedule.apply(op, *args)
         return self
 
     # ------------------------------------------------------------------

@@ -124,14 +124,14 @@ class TestCallSchedule:
 
     def test_compute_at(self):
         schedule = make_schedule()
-        schedule.compute_at(LoopLevel.at("consumer", "x"))
+        schedule.compute_at("consumer", "x")
         assert schedule.compute_level.loop_name() == "consumer.x"
         assert schedule.store_level.loop_name() == "consumer.x"
 
     def test_store_at_separate(self):
         schedule = make_schedule()
-        schedule.store_at(LoopLevel.at("consumer", "y"))
-        schedule.compute_at(LoopLevel.at("consumer", "x"))
+        schedule.store_at("consumer", "y")
+        schedule.compute_at("consumer", "x")
         assert schedule.store_level.loop_name() == "consumer.y"
         assert schedule.compute_level.loop_name() == "consumer.x"
 
