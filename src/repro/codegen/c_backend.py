@@ -53,6 +53,7 @@ C-compiler invocations.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import sys
@@ -916,7 +917,12 @@ _NP_FNS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
            "pow": np.power}
 
 
+@functools.lru_cache(maxsize=None)
 def _make_callback(name: str, bits: int):
+    """The ctypes callback for one transcendental at one precision — one per
+    process, never freed: ``repro_set_callbacks`` copies the raw function
+    pointers into C statics shared by every load of that ``.so``, so a
+    callback must outlive every program that was ever handed it."""
     np_type = np.float32 if bits == 32 else np.float64
     c_type = ctypes.c_float if bits == 32 else ctypes.c_double
     fn = _NP_FNS[name]
@@ -951,7 +957,6 @@ class NativeProgram:
         self.so_path: Optional[str] = None
         self._lib = None
         self._entry = None
-        self._callbacks: List[object] = []  # keep CFUNCTYPEs alive
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -977,15 +982,12 @@ class NativeProgram:
                           ctypes.POINTER(ctypes.c_double),
                           ctypes.c_int64]
         if self.callback_slots:
-            self._callbacks = [_make_callback(name, bits)
-                               for name, bits in self.callback_slots]
             setter = getattr(lib, CALLBACK_SETTER_SYMBOL)
             setter.restype = None
             setter.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-            table = (ctypes.c_void_p * len(self._callbacks))(
-                *[ctypes.cast(cb, ctypes.c_void_p) for cb in self._callbacks])
-            self._callback_table = table  # keep alive alongside the lib
-            setter(table)
+            setter((ctypes.c_void_p * len(self.callback_slots))(
+                *[ctypes.cast(_make_callback(name, bits), ctypes.c_void_p)
+                  for name, bits in self.callback_slots]))
         self._lib = lib
         self._entry = entry
         self.so_path = so_path

@@ -124,6 +124,10 @@ class CompiledPipeline:
         #: calls recompile automatically because image shapes key the cache.
         self._images = dict(images if images is not None
                             else pipeline._collect_images())
+        #: Declared (dtype, rank) of each image, checked at every bind.
+        self._image_types = {
+            name: (image.type.to_numpy_dtype(), image.dimensions())
+            for name, image in self._images.items()}
         # Execution metadata is captured once here (rather than read off the
         # lowered IR at run time) so a program restored from the persistent
         # cache — which has source text but no IR — runs identically.
@@ -333,14 +337,14 @@ class CompiledPipeline:
         # arrays (for ImageParams).
         for name, image_target in self._images.items():
             if inputs is not None and name in inputs:
-                self._bind_image(executor, name, np.asarray(inputs[name]))
+                self._bind_image(executor, name, inputs[name])
             else:
                 array = _image_array(image_target)
                 if array is not None:
                     self._bind_image(executor, name, array)
         for name, array in (inputs or {}).items():
             if name not in executor.buffers:
-                self._bind_image(executor, name, np.asarray(array))
+                self._bind_image(executor, name, array)
 
         # Pre-allocate the output buffer so it survives the Allocate scope.
         flat_output = np.zeros(
@@ -350,21 +354,35 @@ class CompiledPipeline:
         return flat_output
 
     def _finalize(self, flat_output: np.ndarray) -> np.ndarray:
+        """The output in the kernel's own x-fastest layout (F-contiguous):
+        the output buffer itself, or — when the schedule rounded the
+        allocation up — a compacted copy of its ``sizes`` window."""
         result = flat_output.reshape(self._rounded_shape, order="F")
+        if self._rounded_shape == self.sizes:
+            return result
         window = tuple(slice(0, s) for s in self.sizes)
-        return result[window].copy()
+        return result[window].copy(order="F")
 
-    def _bind_image(self, executor, name: str, array: np.ndarray) -> None:
-        """Bind one input image, checking it still matches the compiled layout.
+    def _bind_image(self, executor, name: str, array) -> None:
+        """Bind one input image, checking it still matches the compiled program.
 
-        Lowering bakes bound images' shapes into constant strides; running a
-        held CompiledPipeline after rebinding a differently-shaped image would
-        silently misread memory, so mismatches fail loudly here.
+        Lowering bakes bound images' element types and shapes into the
+        program; running it over an array of another dtype, rank or shape
+        would silently reinterpret or misread memory, so mismatches fail
+        loudly here, on every backend.
         """
+        array = np.asarray(array)
+        dtype, rank = declared = self._image_types.get(
+            name, (array.dtype, array.ndim))  # unknown names: nothing declared
+        if (array.dtype, array.ndim) != declared:
+            raise TypeError(
+                f"input image {name!r} must be a {rank}-dimensional {dtype} "
+                f"array, got {array.ndim} dimensions of {array.dtype}; convert "
+                f"it first (e.g. array.astype(np.{dtype}))")
         baked = self._baked_shapes.get(name)
-        if baked is not None and baked != tuple(array.shape):
+        if baked is not None and baked != array.shape:
             raise ValueError(
-                f"input image {name!r} has shape {tuple(array.shape)}, but this "
+                f"input image {name!r} has shape {array.shape}, but this "
                 f"CompiledPipeline was compiled for shape {baked}; "
                 "recompile (Pipeline.compile / realize re-key the cache on image "
                 "shapes automatically)"

@@ -45,6 +45,43 @@ _INTRINSICS = {
 }
 
 
+#: Input marshal granularity: the source is copied this many bytes at a time
+#: along its largest-stride axis, so a slab is still in L2 while it is
+#: scattered into the destination (strip-mining the transposition) ...
+_SLAB_BYTES = 256 * 1024
+#: ... but in no fewer source rows than fill this many bytes: the slab's row
+#: count is the length of each contiguous run it writes, and runs of under a
+#: few cache lines are what makes a cache-cold transposition slow.
+_SLAB_MIN_RUN_BYTES = 256
+
+
+def _flat_fortran(array: np.ndarray) -> np.ndarray:
+    """``array``'s elements as a flat buffer with dimension 0 at stride 1.
+
+    An array that already is Fortran-contiguous is returned as a view (no
+    copy; the kernels only read inputs).  Anything else is copied once into
+    a fresh buffer, slab by slab — byte-identical to one whole-array
+    transposing copy, several times faster at image sizes.
+    """
+    if array.flags.f_contiguous:
+        return array.reshape(-1, order="F")
+    flat = np.empty(array.size, dtype=array.dtype)
+    dest = flat.reshape(array.shape, order="F")
+    if array.nbytes <= _SLAB_BYTES:
+        np.copyto(dest, array)
+        return flat
+    axis = max(range(array.ndim),
+               key=lambda i: (array.shape[i] > 1, abs(array.strides[i])))
+    rows = array.shape[axis]
+    step = max(_SLAB_BYTES * rows // array.nbytes,
+               _SLAB_MIN_RUN_BYTES // array.itemsize, 1)
+    lead = (slice(None),) * axis
+    for start in range(0, rows, step):
+        slab = lead + (slice(start, start + step),)
+        np.copyto(dest[slab], array[slab])
+    return flat
+
+
 class Executor:
     """Interprets a :class:`~repro.compiler.lower.LoweredPipeline`."""
 
@@ -72,14 +109,15 @@ class Executor:
         self.scope[name] = value
 
     def bind_input(self, name: str, array: np.ndarray) -> None:
-        """Provide an input image as a flat, Fortran-ordered buffer."""
-        self.buffers[name] = np.asarray(array).flatten(order="F")
-        self.buffer_types[name] = np.asarray(array).dtype
-        for i, extent in enumerate(np.asarray(array).shape):
+        """Provide an input image (an ndarray) as a flat, x-fastest buffer:
+        a view of ``array`` when it is already Fortran-contiguous, one
+        slab-wise copy otherwise."""
+        self.buffers[name] = _flat_fortran(array)
+        self.buffer_types[name] = array.dtype
+        stride = 1
+        for i, extent in enumerate(array.shape):
             self.scope.setdefault(f"{name}.min.{i}", 0)
             self.scope.setdefault(f"{name}.extent.{i}", int(extent))
-        stride = 1
-        for i, extent in enumerate(np.asarray(array).shape):
             self.scope.setdefault(f"{name}.stride.{i}", stride)
             stride *= int(extent)
 

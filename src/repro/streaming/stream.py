@@ -164,9 +164,7 @@ def realize_stream(compiled, frames, *,
             f"input {name!r} carries fewer frames ({chunk + history}) than "
             f"the compiled chunk ({chunk}); it cannot be streamed")
 
-    image = compiled._images[name]
-    dtype = np.dtype(getattr(image, "type").to_numpy_dtype()) \
-        if hasattr(image, "type") else None
+    dtype = compiled._images[name].type.to_numpy_dtype()
 
     if stats is None:
         stats = StreamStats()
@@ -192,7 +190,20 @@ def realize_stream(compiled, frames, *,
             raise StreamError(
                 f"frame shape {tuple(frame.shape)} does not match the "
                 f"compiled spatial shape {spatial}")
-        return frame if dtype is None else np.asarray(frame, dtype=dtype)
+        return np.asarray(frame, dtype=dtype)
+
+    def plane(i: int) -> tuple:
+        return tuple(i if d == t_axis else slice(None) for d in range(ndim))
+
+    def assemble(seq: list) -> np.ndarray:
+        """One chunk's input, built directly in the x-fastest layout the
+        kernels read, so binding it copies nothing."""
+        shape = list(seq[0].shape)
+        shape.insert(t_axis, len(seq))
+        block = np.empty(shape, dtype=dtype, order="F")
+        for i, frame in enumerate(seq):
+            np.copyto(block[plane(i)], frame)
+        return block
 
     def chunks() -> Iterator[tuple]:
         """(input_array, valid_frame_count) per chunk, carrying history."""
@@ -209,9 +220,11 @@ def realize_stream(compiled, frames, *,
             if not hist:
                 hist = [got[0]] * history       # repeat-edge at stream start
             pad = [got[-1]] * (chunk - len(got))  # repeat-edge at stream end
-            seq = hist + got + pad
-            yield np.stack(seq, axis=t_axis), len(got)
-            hist = seq[len(seq) - history:] if history else []
+            block = assemble(hist + got + pad)
+            # The next chunk's history: this one's last planes, already in
+            # the layout they will be copied into.
+            hist = [block[plane(i)] for i in range(chunk, chunk + history)]
+            yield block, len(got)
 
     def run_chunk(input_array: np.ndarray):
         report = compiled.run_with_report(params=params,
@@ -227,10 +240,8 @@ def realize_stream(compiled, frames, *,
             stats.peak_by_buffer[buf] = max(stats.peak_by_buffer.get(buf, 0),
                                             peak)
         for i in range(valid):
-            index = tuple(i if d == t_axis else slice(None)
-                          for d in range(ndim))
             stats.frames_out += 1
-            yield output[index].copy()
+            yield output[plane(i)].copy(order="F")
 
     if depth == 1:
         for input_array, valid in chunks():

@@ -149,6 +149,36 @@ def test_evicted_blob_degrades_to_source_recompile(tmp_path):
 
 
 @pytest.mark.native
+def test_dropping_a_restored_pipeline_leaves_its_sibling_callable(tmp_path):
+    """Two restores of one cached ``.so`` share a library handle, hence its
+    C-side table of transcendental callbacks; the table must stay valid when
+    the restore that filled it last is garbage-collected."""
+    import gc
+
+    from repro.lang import Buffer, Func, Var, exp, pow_
+
+    image = np.random.default_rng(8).random((16, 12)).astype(np.float32)
+
+    def build():
+        source = Buffer(image, name="cb_in")
+        x, y = Var("x"), Var("y")
+        curve = Func("cb_curve")
+        curve[x, y] = exp(source[x, y]) + pow_(source[x, y], 2.5)
+        return Pipeline(curve, disk_cache=tmp_path)
+
+    reference = build().realize([16, 12], target="interp")
+    build().compile([16, 12], target=Target("native"))  # cold: fills the cache
+    first = build().compile([16, 12], target=Target("native"))
+    second = build().compile([16, 12], target=Target("native"))
+    assert first is not second
+    assert first.lowered._native_program.callback_slots
+    assert_images_identical(second(), reference)
+    del second
+    gc.collect()
+    assert_images_identical(first(), reference)
+
+
+@pytest.mark.native
 def test_threads_key_the_native_compile_cache(tmp_path):
     app = _blur_app()
     pipeline = Pipeline(app.output, disk_cache=tmp_path)
