@@ -24,10 +24,12 @@ def test_ablation_compiler_passes(benchmark, blur_image):
         rows = []
 
         def add(name, schedule, options=None):
-            app = make_blur(blur_image).apply_schedule(schedule)
-            cost = estimate_cost(app.pipeline(), size, profile=SMALL_CACHE_CPU,
-                                 options=options)
-            tradeoff = measure_tradeoffs(app.pipeline(), size, options=options)
+            app = make_blur(blur_image)
+            named = app.named_schedule(schedule)
+            cost = estimate_cost(app.pipeline(), size, schedule=named,
+                                 profile=SMALL_CACHE_CPU, options=options)
+            tradeoff = measure_tradeoffs(app.pipeline(), size, schedule=named,
+                                         options=options)
             rows.append({
                 "configuration": name,
                 "model_ms": cost.milliseconds,

@@ -82,12 +82,12 @@ def test_fig3_numpy_backend_parity_and_speedup(benchmark, blur_image):
     size = [blur_image.shape[0], blur_image.shape[1]]
 
     def compare_backends():
-        app = make_blur(blur_image).apply_schedule("breadth_first")
+        app = make_blur(blur_image)
         start = time.perf_counter()
-        reference = app.realize(size, backend="interp")
+        reference = app.compile("breadth_first", size, target="interp").run()
         interp_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        output = app.realize(size, backend="numpy")
+        output = app.compile("breadth_first", size, target="numpy").run()
         numpy_seconds = time.perf_counter() - start
         return reference, output, interp_seconds, numpy_seconds
 
@@ -132,9 +132,9 @@ def test_fig3_compiled_backend_parity_and_speedup(benchmark, blur_image):
             compiled = pipeline.compile(size, schedule=app.named_schedule("breadth_first"),
                                         target=target)
             if name != "interp":
-                compiled()  # warm outside the timed run (interp is too slow to warm)
+                compiled.run()  # warm outside the timed run (interp is too slow to warm)
             start = time.perf_counter()
-            output = compiled()
+            output = compiled.run()
             rows[name] = time.perf_counter() - start
             if reference is None:
                 reference = output

@@ -44,13 +44,15 @@ def measure_rows(blur_image):
     size = [blur_image.shape[0], blur_image.shape[1]]
     rows = []
     for strategy in STRATEGIES:
-        app = make_blur(blur_image).apply_schedule(strategy)
+        app = make_blur(blur_image)
+        schedule = app.named_schedule(strategy)
         start = time.perf_counter()
-        report = estimate_cost(app.pipeline(), size, profile=SMALL_CACHE_CPU)
+        report = estimate_cost(app.pipeline(), size, schedule=schedule,
+                               profile=SMALL_CACHE_CPU)
         dynamic_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        static = estimate_cost(app.pipeline(), size, profile=SMALL_CACHE_CPU,
-                               mode="static")
+        static = estimate_cost(app.pipeline(), size, schedule=schedule,
+                               profile=SMALL_CACHE_CPU, mode="static")
         static_seconds = time.perf_counter() - start
         assert (static.ops, static.loads, static.stores) == \
             (report.ops, report.loads, report.stores), strategy

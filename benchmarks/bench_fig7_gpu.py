@@ -32,13 +32,15 @@ def test_fig7_gpu_schedules(benchmark, blur_image, small_gray, rgba_image):
         for name, make, size in cases:
             app = make()
             sizes = size if size is not None else app.default_size
-            naive_gpu = estimate_cost(make().apply_schedule("breadth_first").pipeline(),
-                                      sizes, profile=GPU_LIKE)
-            cpu_tuned = estimate_cost(make().apply_schedule("tuned").pipeline(),
-                                      sizes, profile=XEON_W3520)
             gpu_schedule = "gpu" if "gpu" in app.schedules else "tuned"
-            gpu = estimate_cost(make().apply_schedule(gpu_schedule).pipeline(),
-                                sizes, profile=GPU_LIKE)
+
+            def cost(schedule, profile):
+                return estimate_cost(app.pipeline(), sizes, profile=profile,
+                                     schedule=app.named_schedule(schedule))
+
+            naive_gpu = cost("breadth_first", GPU_LIKE)
+            cpu_tuned = cost("tuned", XEON_W3520)
+            gpu = cost(gpu_schedule, GPU_LIKE)
             rows.append({
                 "pipeline": name,
                 "gpu_model_ms": gpu.milliseconds,

@@ -1,13 +1,11 @@
 """Figure 7 (thread scaling): wall time of ``.parallel()`` schedules versus
-``Target.threads`` on the compiled backend (both parallel runtimes) and the
-native compile-to-C backend (OpenMP teams, when a C toolchain is present).
+``Target.threads`` on the compiled backend (thread pool) and the native
+compile-to-C backend (OpenMP teams, when a C toolchain is present).
 
 The paper's Figure 7 schedules win by combining vectorization with multi-core
 parallelism.  The compiled backend is the first in this reproduction where a
 ``.parallel("yo")`` directive changes wall time: parallel loops are chunked
-over a worker pool sized by ``Target.threads`` — a thread pool by default,
-or a pool of worker processes with shared-memory buffers under
-``Target(parallel="process")``.
+over a thread pool sized by ``Target.threads``.
 
 Every row records its parallel mode and worker count, and what this
 benchmark *asserts* is portable across runners:
@@ -20,9 +18,7 @@ benchmark *asserts* is portable across runners:
 The *speedup* itself is recorded (printed and tracked via the exported
 ``BENCH_fig3.json`` artifact) rather than asserted: it is bounded by the
 cores the runner actually has — a single-core CI box legitimately measures
-~1.0x for threads and below 1.0x for processes (per-dispatch shared-memory
-traffic with nowhere to run concurrently), a 4-core workstation the
-paper-shaped scaling.
+~1.0x, a 4-core workstation the paper-shaped scaling.
 """
 
 import os
@@ -33,10 +29,6 @@ import pytest
 
 from repro.apps import make_blur
 from repro.codegen.c_toolchain import toolchain_available
-from repro.codegen.process_runtime import (
-    process_pool_available,
-    shutdown_process_pools,
-)
 from repro.runtime import Target
 
 from conftest import print_table, run_once
@@ -48,8 +40,6 @@ IMAGE_SHAPE = (384, 384)
 
 def _parallel_modes():
     modes = ["thread"]
-    if process_pool_available():
-        modes.append("process")
     if toolchain_available():
         modes.append("native")
     return tuple(modes)
@@ -58,8 +48,7 @@ def _parallel_modes():
 def _target(mode: str, workers: int) -> Target:
     if mode == "native":
         return Target("native", threads=workers)
-    return Target("compiled", threads=workers,
-                  parallel=None if mode == "thread" else mode)
+    return Target("compiled", threads=workers)
 
 
 @pytest.mark.figure("fig7_threads")
@@ -78,9 +67,9 @@ def test_fig7_thread_scaling(benchmark, bench_rng):
                     compiled = pipeline.compile(
                         app.default_size, schedule=schedule,
                         target=_target(mode, workers))
-                    compiled()  # warm the pool outside the timed run
+                    compiled.run()  # warm the pool outside the timed run
                     start = time.perf_counter()
-                    output = compiled()
+                    output = compiled.run()
                     rows.append(({
                         "schedule": schedule_name,
                         "parallel": mode,
@@ -108,11 +97,8 @@ def test_fig7_thread_scaling(benchmark, bench_rng):
                     f"differs from serial"
         # Portable bound, thread mode only: chunk submission overhead must
         # stay small even when the runner has fewer cores than workers.
-        # Process mode pays per-dispatch shared-memory traffic and is
-        # recorded, not bounded (it needs real cores to win).
         serial_ms = by_key[(schedule_name, "thread", 1)][0]["ms"]
         four_ms = by_key[(schedule_name, "thread", 4)][0]["ms"]
         speedup = serial_ms / max(four_ms, 1e-9)
         assert speedup > 0.4, \
             f"{schedule_name}: 4 threads cost {1 / speedup:.1f}x serial"
-    shutdown_process_pools()

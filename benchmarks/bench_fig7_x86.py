@@ -48,17 +48,18 @@ def test_fig7_x86_tuned_vs_naive(benchmark, blur_image, small_gray, raw_image, r
     def measure_all():
         rows = []
         for name, make, size, ref_name in cases:
-            naive_app = make().apply_schedule("breadth_first")
-            sizes = size if size is not None else naive_app.default_size
-            naive = estimate_cost(naive_app.pipeline(), sizes, profile=XEON_W3520)
-            tuned_app = make().apply_schedule("tuned")
-            tuned = estimate_cost(tuned_app.pipeline(), sizes, profile=XEON_W3520)
+            app = make()
+            sizes = size if size is not None else app.default_size
+            naive = estimate_cost(app.pipeline(), sizes, profile=XEON_W3520,
+                                  schedule=app.named_schedule("breadth_first"))
+            tuned = estimate_cost(app.pipeline(), sizes, profile=XEON_W3520,
+                                  schedule=app.named_schedule("tuned"))
             rows.append({
                 "pipeline": name,
                 "naive_model_ms": naive.milliseconds,
                 "tuned_model_ms": tuned.milliseconds,
                 "speedup": naive.milliseconds / tuned.milliseconds,
-                "lines_halide": tuned_app.algorithm_lines,
+                "lines_halide": app.algorithm_lines,
                 "lines_reference": _reference_lines(ref_name),
             })
         return rows

@@ -47,11 +47,11 @@ def _tune(pipeline, sizes, seed):
     evaluator = CostModelEvaluator(pipeline, sizes, profile=SMALL_CACHE_CPU)
     config = TunerConfig(population_size=6, generations=2, seed=seed)
     result = Autotuner(pipeline, evaluator, config).run()
-    return result.best_schedules(pipeline)
+    return result.best_schedule(pipeline)
 
 
-def _cost(pipeline, schedules, sizes, mode="dynamic"):
-    return estimate_cost(pipeline, sizes, schedules=schedules,
+def _cost(pipeline, schedule, sizes, mode="dynamic"):
+    return estimate_cost(pipeline, sizes, schedule=schedule,
                          profile=SMALL_CACHE_CPU, mode=mode).milliseconds
 
 

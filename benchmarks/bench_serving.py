@@ -4,11 +4,9 @@ A serving deployment compiles a pipeline once and then answers a stream of
 requests, each carrying a fresh input image.  This benchmark measures that
 shape end to end across every dispatch mode the runtime offers:
 
-* ``serial``    — one request at a time, loop-level parallelism off;
-* ``thread``    — loop-level thread parallelism inside each request;
-* ``process``   — loop-level process-pool parallelism (shared-memory
-  buffers, ``Target(parallel="process")``);
-* ``batch-thread`` / ``batch-process`` — batch-level parallelism via
+* ``serial``       — one request at a time, loop-level parallelism off;
+* ``thread``       — loop-level thread parallelism inside each request;
+* ``batch-thread`` — batch-level parallelism via
   ``CompiledPipeline.realize_batch`` (one dispatch per request group,
   loop-level parallelism disabled inside items).
 
@@ -48,10 +46,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import __version__  # noqa: E402
-from repro.codegen.process_runtime import (  # noqa: E402
-    process_pool_available,
-    shutdown_process_pools,
-)
 from repro.core.pipeline_schedule import Schedule  # noqa: E402
 from repro.lang import Buffer, Func, ImageParam, Var, clamp  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
@@ -127,7 +121,7 @@ def measure(config, pipeline, sizes, schedule, requests, batch_size):
     target = config["target"]
     compiled = pipeline.compile(sizes, schedule=schedule, target=target)
     # Warm everything once outside the timed region: worker pools spin up,
-    # generated source execs in workers, caches fill.
+    # caches fill.
     compiled.run(inputs=requests[0])
     started = time.perf_counter()
     if config["batched"]:
@@ -138,7 +132,6 @@ def measure(config, pipeline, sizes, schedule, requests, batch_size):
     row = {
         "config": config["name"],
         "backend": target.backend,
-        "parallel": target.parallel or "thread",
         "workers": target.threads or 1,
         "batch_size": batch_size if config["batched"] else 1,
         "requests": len(requests),
@@ -151,7 +144,7 @@ def measure(config, pipeline, sizes, schedule, requests, batch_size):
 
 
 def serving_configs(workers):
-    configs = [
+    return [
         {"name": "serial", "target": Target("compiled", threads=1),
          "batched": False},
         {"name": "thread", "target": Target("compiled", threads=workers),
@@ -159,18 +152,6 @@ def serving_configs(workers):
         {"name": "batch-thread", "target": Target("compiled", threads=workers),
          "batched": True},
     ]
-    if process_pool_available():
-        configs += [
-            {"name": "process",
-             "target": Target("compiled", threads=workers, parallel="process"),
-             "batched": False},
-            {"name": "batch-process",
-             "target": Target("compiled", threads=workers, parallel="process"),
-             "batched": True},
-        ]
-    else:
-        print("process pools unavailable: skipping process rows", flush=True)
-    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +226,7 @@ def main(argv=None) -> int:
                 assert got.tobytes() == want.tobytes(), \
                     f"{row['config']}: request {index} differs from serial"
         rows.append(row)
-        print(f"{row['config']:>14}  parallel={row['parallel']:<8} "
+        print(f"{row['config']:>14}  "
               f"workers={row['workers']}  batch={row['batch_size']}  "
               f"{row['images_per_sec']:8.1f} img/s  "
               f"p50 {row['p50_ms']:7.2f} ms  p99 {row['p99_ms']:7.2f} ms",
@@ -257,7 +238,6 @@ def main(argv=None) -> int:
           f"{warm['warm']['lowerings']} hits={warm['warm']['hits']}",
           flush=True)
 
-    shutdown_process_pools()
     artifact = {
         "benchmark": "serving_throughput_latency",
         "profile": profile,
@@ -267,7 +247,6 @@ def main(argv=None) -> int:
         "repro_version": __version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "process_pool_available": process_pool_available(),
         "rows": rows,
         "warm_start": warm,
     }

@@ -63,7 +63,7 @@ def time_compiled(compiled, repeats: int = REPEATS) -> float:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        compiled()
+        compiled.run()
         times.append(time.perf_counter() - start)
     return float(np.median(times))
 
@@ -96,7 +96,6 @@ def sweep_schedules(app, pipeline):
                 "schedule": name,
                 "backend": target.backend,
                 "threads": target.threads,
-                "parallel": target.parallel or "thread",
                 "workers": target.threads or 1,
                 "seconds": seconds,
                 "compile_seconds": compile_seconds,
@@ -141,27 +140,22 @@ def assert_native_gate(speedups) -> float:
 
 
 def thread_scaling():
-    """Wall time of a parallel schedule at several worker counts, for each
-    available parallel runtime (threads always; processes where shared
-    memory works)."""
+    """Wall time of a parallel schedule at several worker counts, on the
+    compiled backend's thread pool and (with a C toolchain) native OpenMP."""
     from repro.codegen.c_toolchain import toolchain_available
-    from repro.codegen.process_runtime import process_pool_available
 
     image = np.random.default_rng(20130616).random(SCALING_SHAPE).astype(np.float32)
     app = make_blur(image)
     pipeline = app.pipeline()
     schedule = app.named_schedule(SCALING_SCHEDULE)
-    modes = ("thread", "process") if process_pool_available() else ("thread",)
+    modes = ("thread",)
     if toolchain_available():
         modes += ("native",)  # OpenMP teams, recorded under the same sweep
     rows = []
     for mode in modes:
         for workers in SCALING_THREADS:
-            if mode == "native":
-                target = Target("native", threads=workers)
-            else:
-                target = Target("compiled", threads=workers,
-                                parallel=None if mode == "thread" else mode)
+            backend = "native" if mode == "native" else "compiled"
+            target = Target(backend, threads=workers)
             compiled = pipeline.compile(app.default_size, schedule=schedule,
                                         target=target)
             seconds = time_compiled(compiled, repeats=SCALING_REPEATS)
@@ -177,8 +171,7 @@ def thread_scaling():
         "rows": rows,
         "speedup_4_over_1": by_key[("thread", 1)] / max(by_key[("thread", 4)], 1e-9),
         # Worker speedup is bounded by the cores actually available; a
-        # single-core runner legitimately records ~1.0 here (and below 1.0
-        # for processes, which pay per-dispatch shared-memory traffic).
+        # single-core runner legitimately records ~1.0 here.
         "cpu_count": os.cpu_count(),
         "affinity_count": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else None,

@@ -42,7 +42,7 @@ def main() -> None:
     # applied non-destructively — ship it separately from the algorithm.
     best = result.best_schedule(pipeline)
     print(f"\nschedule digest: {best.digest()}")
-    output = pipeline.realize(app.default_size, schedule=best)
+    output = pipeline.compile(app.default_size, schedule=best).run()
     print("correct against reference:",
           bool(np.allclose(output, blur_ref(image), atol=1e-4)))
 

@@ -44,15 +44,19 @@ def main() -> None:
     print(f"pipeline: {stats.num_functions} functions, {stats.num_stencils} stencils, "
           f"{stats.num_data_dependent} data-dependent stages")
 
-    naive = make_camera_pipe(raw).apply_schedule("breadth_first")
-    tuned = make_camera_pipe(raw).apply_schedule("tuned")
-    rgb_naive = naive.realize(out_size)
-    rgb_tuned = tuned.realize(out_size)
+    # One algorithm graph (default parameters), two schedules applied
+    # non-destructively.
+    camera = make_camera_pipe(raw)
+    naive, tuned = camera.named_schedule("breadth_first"), camera.named_schedule("tuned")
+    rgb_naive = camera.compile(naive, out_size).run()
+    rgb_tuned = camera.compile(tuned, out_size).run()
     print("schedules agree:", bool(np.allclose(rgb_naive, rgb_tuned, atol=1e-3)))
     print("output range   :", float(rgb_tuned.min()), "to", float(rgb_tuned.max()))
 
-    cost_naive = estimate_cost(naive.pipeline(), out_size, profile=XEON_W3520)
-    cost_tuned = estimate_cost(tuned.pipeline(), out_size, profile=XEON_W3520)
+    cost_naive = estimate_cost(camera.pipeline(), out_size, schedule=naive,
+                               profile=XEON_W3520)
+    cost_tuned = estimate_cost(camera.pipeline(), out_size, schedule=tuned,
+                               profile=XEON_W3520)
     print(f"machine model, breadth-first: {cost_naive.milliseconds:.2f} ms")
     print(f"machine model, tiled+fused  : {cost_tuned.milliseconds:.2f} ms "
           f"({cost_naive.milliseconds / cost_tuned.milliseconds:.2f}x)")

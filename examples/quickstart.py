@@ -41,10 +41,10 @@ def main() -> None:
     # innermost loops into whole-array operations.  Output is bit-identical.
     pipeline = Pipeline(blur_y)
     start = time.perf_counter()
-    interp_result = pipeline.realize([256, 192], backend="interp")
+    interp_result = pipeline.compile([256, 192], target="interp").run()
     interp_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    numpy_result = pipeline.realize([256, 192], backend="numpy")
+    numpy_result = pipeline.compile([256, 192], target="numpy").run()
     numpy_seconds = time.perf_counter() - start
     assert np.array_equal(interp_result, numpy_result)
     print(f"\ninterp backend: {interp_seconds * 1000:.1f} ms, "

@@ -49,8 +49,8 @@ def main() -> None:
 
         # compile once / run many: the second call is pure execution.
         compiled = pipeline.compile(size, schedule=schedule, target=target)
-        compiled()
-        compiled()
+        compiled.run()
+        compiled.run()
 
         print(f"{name:<20} {tradeoff.span:>12.0f} {tradeoff.max_reuse_distance:>12d} "
               f"{tradeoff.work_amplification:>10.2f} {cost.milliseconds:>10.3f} "

@@ -11,9 +11,8 @@ pieces the runtime provides for that shape:
   shows ``lowerings=0`` on a warm start);
 * **batched execution** — ``CompiledPipeline.realize_batch`` runs a group
   of requests through one dispatch, amortizing bind/launch overhead;
-* **parallel modes** — ``Target(threads=N)`` chunks parallel loops over a
-  thread pool; ``Target(threads=N, parallel="process")`` uses a pool of
-  worker processes with shared-memory buffers instead.
+* **parallel workers** — ``Target(threads=N)`` chunks parallel loops (and
+  batch items) over a thread pool.
 
 Run it twice with a cache directory to see the warm start:
 
@@ -27,8 +26,7 @@ synthetic frame sequence flows through
 intermediate memory (measured and static) each schedule holds — the folded
 schedules stay at a window-sized ring no matter how many frames pass.
 
-Options: ``--requests N --batch B --workers W --parallel thread|process``;
-``--stream [--frames N]``.
+Options: ``--requests N --batch B --workers W``; ``--stream [--frames N]``.
 """
 
 from __future__ import annotations
@@ -109,8 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch", type=int, default=8,
                         help="requests per realize_batch dispatch (1 = serial)")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--parallel", choices=("thread", "process"),
-                        default="thread")
     parser.add_argument("--cache-dir", default=None,
                         help=f"persistent compile cache directory "
                              f"(default: ${CACHE_DIR_ENV_VAR} when set)")
@@ -127,8 +123,7 @@ def main(argv=None) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV_VAR)
     output, schedule = build_service()
     pipeline = Pipeline(output, disk_cache=cache_dir)
-    target = Target("compiled", threads=args.workers,
-                    parallel=args.parallel if args.parallel == "process" else None)
+    target = Target("compiled", threads=args.workers)
 
     start = time.perf_counter()
     compiled = pipeline.compile(list(SHAPE), schedule=schedule, target=target)
@@ -168,7 +163,7 @@ def main(argv=None) -> int:
     lat = np.asarray(latencies)
     print(f"served {served} requests in {total * 1e3:.0f} ms "
           f"({served / total:.1f} images/sec) using "
-          f"{args.parallel} workers={args.workers} batch={args.batch}")
+          f"workers={args.workers} batch={args.batch}")
     print(f"request latency: p50 {np.percentile(lat, 50):.2f} ms, "
           f"p99 {np.percentile(lat, 99):.2f} ms")
     return 0

@@ -823,7 +823,7 @@ def analyze_lowered(lowered, profile=None, *, sizes: Optional[Sequence[int]] = N
 
 
 def estimate_cost_static(pipeline, sizes: Sequence[int], *,
-                         schedule=None, schedules=None, options=None,
+                         schedule=None, options=None,
                          params=None, profile=None, target=None):
     """Compile (cached) and statically analyze ``pipeline`` at ``sizes``.
 
@@ -840,6 +840,6 @@ def estimate_cost_static(pipeline, sizes: Sequence[int], *,
     if profile is None:
         profile = Target.resolve(target).machine_profile() if target is not None \
             else XEON_W3520
-    compiled = pipeline.compile(sizes, schedule=schedule, schedules=schedules,
-                                options=options, target="interp")
+    compiled = pipeline.compile(sizes, schedule=schedule, options=options,
+                                target="interp")
     return analyze_lowered(compiled.lowered, profile, sizes=sizes, params=params)

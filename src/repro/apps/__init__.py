@@ -4,9 +4,8 @@ Each module exposes a ``make_*`` constructor returning an :class:`AppPipeline`
 (the output Func, the dictionary of stages so schedules can reach them, and
 metadata such as the algorithm's line count), plus named schedules — first
 class, serializable :class:`~repro.core.Schedule` data (naive breadth-first,
-hand-tuned, GPU-style) swept by the benchmarks and appliable either
-destructively (``app.apply_schedule(name)``) or non-destructively
-(``app.compile(schedule=name)``).
+hand-tuned, GPU-style) swept by the benchmarks and compiled by name
+(``app.compile(name)``) without touching the app's Funcs.
 """
 
 from repro.apps.common import AppPipeline, downsample_2d, resample_axis, upsample_2d

@@ -9,7 +9,7 @@ examples consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.pipeline_schedule import Schedule, ScheduleBuilder, as_schedule
 from repro.lang import Func, Var, cast, clamp
@@ -17,9 +17,6 @@ from repro.pipeline import CompiledPipeline, Pipeline
 from repro.types import Float
 
 __all__ = ["AppPipeline", "downsample_2d", "upsample_2d", "resample_axis"]
-
-#: A named app schedule: Schedule data (preferred) or a legacy mutation callable.
-ScheduleLike = Union[Schedule, ScheduleBuilder, Callable[[Dict[str, Func]], None]]
 
 
 @dataclass
@@ -32,18 +29,14 @@ class AppPipeline:
     funcs: Dict[str, Func]
     #: Number of lines of algorithm code (the Figure 7 "lines Halide" column).
     algorithm_lines: int = 0
-    #: Named schedules.  Values are first-class :class:`Schedule` data; legacy
-    #: mutation callables ``(funcs) -> None`` are still accepted and applied
-    #: through the same reset-first shim.
-    schedules: Dict[str, ScheduleLike] = field(default_factory=dict)
+    #: Named schedules, as first-class :class:`Schedule` data.
+    schedules: Dict[str, Union[Schedule, ScheduleBuilder]] = field(default_factory=dict)
     #: Default realization sizes used by tests and benchmarks.
     default_size: Optional[List[int]] = None
-    #: Extra keyword arguments for Pipeline.realize (params / inputs).
-    realize_kwargs: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         #: One long-lived Pipeline per app, so its compilation cache is
-        #: shared by every realize()/compile() call on this AppPipeline.
+        #: shared by every compile() call on this AppPipeline.
         self._pipeline = Pipeline(self.output)
 
     def pipeline(self) -> Pipeline:
@@ -54,46 +47,10 @@ class AppPipeline:
     # ------------------------------------------------------------------
     def named_schedule(self, name: str) -> Schedule:
         """One of the named schedules, as first-class :class:`Schedule` data."""
-        value = self._lookup_schedule(name)
-        if isinstance(value, (Schedule, ScheduleBuilder)):
-            return as_schedule(value)
-        raise TypeError(
-            f"schedule {name!r} of app {self.name!r} is a legacy mutation "
-            "callable, not Schedule data; apply it with apply_schedule() or "
-            "port it (see Schedule.from_funcs)"
-        )
-
-    def _lookup_schedule(self, name: str) -> ScheduleLike:
-        try:
-            return self.schedules[name]
-        except KeyError:
-            raise KeyError(
-                f"app {self.name!r} has no schedule {name!r}; "
-                f"available: {sorted(self.schedules)}"
-            ) from None
-
-    def reset_schedules(self) -> "AppPipeline":
-        """Restore every stage's default schedule (undo apply_schedule)."""
-        for func in self.funcs.values():
-            if func.function.schedule is not None:
-                func.function.schedule.reset()
-        return self
-
-    def apply_schedule(self, name: str) -> "AppPipeline":
-        """Destructively install one of the named schedules on the stages.
-
-        Each Func's schedule is reset first, so applying a second schedule
-        (or the same one twice) replaces rather than stacks.  Prefer the
-        non-destructive :meth:`compile`/:meth:`realize` ``schedule=`` path,
-        which never touches the Funcs.
-        """
-        value = self._lookup_schedule(name)
-        self.reset_schedules()
-        if isinstance(value, (Schedule, ScheduleBuilder)):
-            as_schedule(value).apply_to_funcs(self.funcs)
-        else:
-            value(self.funcs)
-        return self
+        if name not in self.schedules:
+            raise KeyError(f"app {self.name!r} has no schedule {name!r}; "
+                           f"available: {sorted(self.schedules)}")
+        return as_schedule(self.schedules[name])
 
     def _coerce_schedule(self, schedule):
         """Accept a schedule name, Schedule data, or None."""
@@ -105,35 +62,19 @@ class AppPipeline:
     # ------------------------------------------------------------------
     # compilation / execution
     # ------------------------------------------------------------------
-    def compile(self, schedule=None, sizes=None, target=None, **kwargs) -> CompiledPipeline:
+    def compile(self, schedule=None, sizes=None, target=None,
+                options=None) -> CompiledPipeline:
         """Compile the app under a schedule name (or Schedule value) and target.
 
         Non-destructive: the app's Funcs are not mutated, so many schedules
         can be compiled (and their CompiledPipelines held) concurrently from
-        this one algorithm graph.
+        this one algorithm graph.  Without ``schedule``, the schedules set
+        directly on the app's Funcs are used.  ``sizes`` defaults to
+        :attr:`default_size`.
         """
         sizes = sizes if sizes is not None else self.default_size
         return self.pipeline().compile(sizes, schedule=self._coerce_schedule(schedule),
-                                       target=target, **kwargs)
-
-    def realize(self, sizes=None, backend=None, schedule=None, target=None, **kwargs):
-        """Run the app under its current (or an explicitly named) schedule.
-
-        ``schedule`` optionally selects a named schedule or Schedule value
-        non-destructively; ``target`` (or the legacy ``backend`` name string)
-        selects the execution backend.  Further keyword arguments are
-        forwarded to :meth:`repro.pipeline.Pipeline.realize`.
-        """
-        sizes = sizes if sizes is not None else self.default_size
-        merged = dict(self.realize_kwargs)
-        merged.update(kwargs)
-        if backend is not None:
-            merged["backend"] = backend
-        if target is not None:
-            merged["target"] = target
-        if schedule is not None:
-            merged["schedule"] = self._coerce_schedule(schedule)
-        return self.pipeline().realize(sizes, **merged)
+                                       target=target, options=options)
 
 
 def downsample_2d(source: Func, name: str) -> Func:

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.compiler.unroll import UnrollError
 from repro.compiler.vectorize import VectorizeError
-from repro.core.pipeline_schedule import Schedule, ScheduleBuilder
 from repro.core.schedule import ScheduleError
 from repro.machine.cost_model import CostModel
 from repro.machine.profiles import MachineProfile, XEON_W3520
@@ -79,7 +78,6 @@ class _BaseEvaluator:
                  params: Optional[Dict[str, object]] = None,
                  inputs: Optional[Dict[str, np.ndarray]] = None,
                  verify: bool = True, tolerance: float = 1e-4,
-                 backend: Optional[str] = None,
                  target=None):
         self.pipeline = pipeline
         self.sizes = list(sizes)
@@ -87,20 +85,21 @@ class _BaseEvaluator:
         self.inputs = inputs
         self.verify = verify
         self.tolerance = tolerance
-        #: The structured execution target; ``backend`` (a name string) is the
-        #: legacy spelling and is coerced.  Resolved early so an unknown
-        #: backend fails here, not mid-search.
-        self.target = Target.resolve(target if target is not None else backend)
-        self.backend = self.target.backend
+        #: The execution target, resolved early so an unknown backend fails
+        #: here, not mid-search.
+        self.target = Target.resolve(target)
         self._reference_output: Optional[np.ndarray] = None
+
+    def _run(self, schedule=None, listeners=()) -> np.ndarray:
+        compiled = self.pipeline.compile(self.sizes, schedule=schedule,
+                                         target=self.target)
+        return compiled.run(params=self.params, inputs=self.inputs,
+                            listeners=listeners)
 
     def reference_output(self) -> np.ndarray:
         """The output of the default (breadth-first-ish) schedule, computed once."""
         if self._reference_output is None:
-            self._reference_output = self.pipeline.realize(
-                self.sizes, params=self.params, inputs=self.inputs,
-                target=self.target,
-            )
+            self._reference_output = self._run()
         return self._reference_output
 
     def _check(self, output: np.ndarray) -> bool:
@@ -111,16 +110,8 @@ class _BaseEvaluator:
             return False
         return bool(np.allclose(output, reference, rtol=self.tolerance, atol=self.tolerance))
 
-    def _schedule_kwargs(self, schedules) -> Dict[str, object]:
-        """Route a candidate to realize(): first-class Schedule values go
-        through the compile cache; legacy FuncSchedule dicts keep working."""
-        if isinstance(schedules, (Schedule, ScheduleBuilder)):
-            return {"schedule": schedules}
-        return {"schedules": schedules}
-
-    def evaluate_schedules(self, schedules) -> EvaluationResult:
-        """Score one candidate: a :class:`Schedule` value or a legacy
-        per-function FuncSchedule override dict."""
+    def evaluate_schedules(self, schedule) -> EvaluationResult:
+        """Score one candidate :class:`~repro.core.Schedule`."""
         raise NotImplementedError
 
 
@@ -139,7 +130,7 @@ class CostModelEvaluator(_BaseEvaluator):
     def __init__(self, pipeline: Pipeline, sizes: Sequence[int],
                  profile: MachineProfile = XEON_W3520,
                  mode: str = "static", **kwargs):
-        kwargs.setdefault("backend", "interp")
+        kwargs.setdefault("target", "interp")
         super().__init__(pipeline, sizes, **kwargs)
         if mode not in ("static", "dynamic"):
             raise ValueError(f"unknown cost-model mode {mode!r}; "
@@ -147,32 +138,27 @@ class CostModelEvaluator(_BaseEvaluator):
         self.profile = profile
         self.mode = mode
 
-    def _evaluate_static(self, schedules) -> EvaluationResult:
+    def _evaluate_static(self, schedule) -> EvaluationResult:
         from repro.analysis.static_cost import analyze_lowered
 
-        compiled = self.pipeline.compile(
-            self.sizes, target=self.target,
-            **self._schedule_kwargs(schedules))
+        compiled = self.pipeline.compile(self.sizes, schedule=schedule,
+                                         target=self.target)
         report = analyze_lowered(compiled.lowered, self.profile,
                                  sizes=self.sizes, params=self.params)
         return EvaluationResult(report.cycles, True)
 
-    def _evaluate_dynamic(self, schedules) -> EvaluationResult:
+    def _evaluate_dynamic(self, schedule) -> EvaluationResult:
         model = CostModel(self.profile)
-        output = self.pipeline.realize(
-            self.sizes, listeners=[model],
-            params=self.params, inputs=self.inputs, target=self.target,
-            **self._schedule_kwargs(schedules),
-        )
+        output = self._run(schedule, listeners=[model])
         if not self._check(output):
             return EvaluationResult(INVALID_FITNESS, False, "output mismatch")
         return EvaluationResult(model.report().cycles, True)
 
-    def evaluate_schedules(self, schedules) -> EvaluationResult:
+    def evaluate_schedules(self, schedule) -> EvaluationResult:
         try:
             if self.mode == "static":
-                return self._evaluate_static(schedules)
-            return self._evaluate_dynamic(schedules)
+                return self._evaluate_static(schedule)
+            return self._evaluate_dynamic(schedule)
         except REJECTION_ERRORS as error:
             return EvaluationResult(INVALID_FITNESS, False, str(error))
 
@@ -185,7 +171,7 @@ class WallClockEvaluator(_BaseEvaluator):
     schedules most faithfully) and falls back to ``compiled`` (generated
     Python/NumPy source) otherwise — both reward ``.parallel()`` directives
     with real wall time (pass ``target=Target(..., threads=N)`` to search
-    with a thread pool).  Pass ``backend="compiled"``/``"numpy"``/``"interp"``
+    with a thread pool).  Pass ``target="compiled"``/``"numpy"``/``"interp"``
     to time a specific backend instead.  Compilation happens *outside* the
     timed region (matching the paper, which measures run time of compiled
     programs), so a candidate's fitness is independent of whether its
@@ -195,15 +181,15 @@ class WallClockEvaluator(_BaseEvaluator):
     def __init__(self, pipeline: Pipeline, sizes: Sequence[int], repeats: int = 1, **kwargs):
         from repro.codegen.c_toolchain import toolchain_available
 
-        kwargs.setdefault("backend",
+        kwargs.setdefault("target",
                           "native" if toolchain_available() else "compiled")
         super().__init__(pipeline, sizes, **kwargs)
         self.repeats = max(1, repeats)
 
-    def evaluate_schedules(self, schedules) -> EvaluationResult:
+    def evaluate_schedules(self, schedule) -> EvaluationResult:
         try:
-            compiled = self.pipeline.compile(
-                self.sizes, target=self.target, **self._schedule_kwargs(schedules))
+            compiled = self.pipeline.compile(self.sizes, schedule=schedule,
+                                             target=self.target)
             times = []
             output = None
             for _ in range(self.repeats):

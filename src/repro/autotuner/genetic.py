@@ -142,11 +142,6 @@ class AutotuneResult:
         return self.best_measured_genome.to_schedule(
             env, pipeline.output_function.name)
 
-    def best_schedules(self, pipeline: Pipeline) -> Dict[str, object]:
-        """Materialize the winning genome as legacy per-function overrides."""
-        env = build_environment([pipeline.output_function])
-        return self.best_genome.to_schedules(env, pipeline.output_function.name)
-
 
 #: Fork-inherited state for parallel evaluation: set in the parent right
 #: before its worker pool is created, so forked children see the pipeline

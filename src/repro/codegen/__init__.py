@@ -15,11 +15,8 @@ leaving Python, in two steps:
   stops interpreting entirely: it emits a self-contained Python function per
   lowered pipeline (batchable loops as whole-array NumPy code, the rest as
   plain Python loops), ``compile()``+``exec()``'d once, with
-  ``ForType.PARALLEL`` loops chunked over a shared worker pool sized by
-  ``Target.threads`` — a thread pool
-  (:mod:`repro.codegen.parallel_runtime`) by default, or a pool of worker
-  processes with shared-memory buffers
-  (:mod:`repro.codegen.process_runtime`) under ``Target(parallel="process")``.
+  ``ForType.PARALLEL`` loops chunked over a shared thread pool
+  (:mod:`repro.codegen.parallel_runtime`) sized by ``Target.threads``.
 
 All backends are required to produce bit-identical output for every pipeline
 and schedule; ``tests/test_numpy_backend.py`` and
@@ -36,11 +33,6 @@ from repro.codegen.legality import (
 )
 from repro.codegen.numpy_backend import NumpyExecutor
 from repro.codegen.parallel_runtime import ParallelRuntime
-from repro.codegen.process_runtime import (
-    ProcessPoolRuntime,
-    process_pool_available,
-    shutdown_process_pools,
-)
 from repro.codegen.source_backend import (
     CompiledExecutor,
     CompiledProgram,
@@ -54,12 +46,9 @@ __all__ = [
     "CompiledExecutor",
     "CompiledProgram",
     "ParallelRuntime",
-    "ProcessPoolRuntime",
     "SourceCodegenError",
     "compile_lowered",
     "generate_source",
-    "process_pool_available",
-    "shutdown_process_pools",
     "analyze_batchable_loops",
     "affine_coefficient",
     "LoopBatchInfo",

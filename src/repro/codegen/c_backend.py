@@ -1115,8 +1115,7 @@ class NativeExecutor(Executor):
     ``drives_listeners`` is ``False`` and generated code performs no
     per-access bounds checks.  ``target.threads`` sets the OpenMP team size
     for ``parallel`` loops (``None``/``1`` runs them serially — on one
-    thread — with identical output); ``parallel="process"`` executes on
-    threads here, since native loop bodies never hold the GIL anyway.
+    thread — with identical output).
     """
 
     drives_listeners = False

@@ -2,10 +2,11 @@
 
 The compiled backend (:mod:`repro.codegen.source_backend`) lowers every
 parallel loop to a call to :meth:`ParallelRuntime.parallel_for`, passing a
-chunk body ``body(lo, hi)`` that executes the iterations ``[lo, hi)``.  The
-runtime splits the iteration space into contiguous chunks and submits them to
-a shared :class:`~concurrent.futures.ThreadPoolExecutor` sized by
-``Target.threads``.
+module-level chunk function ``body(bufs, ctx, rt, lo, hi)`` that executes the
+iterations ``[lo, hi)`` over the buffers ``bufs`` and the enclosing-scope
+values ``ctx``.  The runtime splits the iteration space into contiguous
+chunks and submits them to a shared
+:class:`~concurrent.futures.ThreadPoolExecutor` sized by ``Target.threads``.
 
 Threads (rather than processes) suffice because of the paper's execution
 model: bounds inference guarantees that the iterations of a parallel loop
@@ -76,25 +77,11 @@ def chunk_bounds(mn: int, extent: int, chunks: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _call_body(body: Callable, bufs: Optional[dict], ctx: Optional[dict],
-               rt: "ParallelRuntime", lo: int, hi: int) -> None:
-    """Invoke a chunk body under either call convention.
-
-    Module-level chunk functions emitted by the source backend take
-    ``(bufs, ctx, rt, lo, hi)``; legacy closures (and the direct-runtime unit
-    tests) take plain ``(lo, hi)``.  ``bufs is None`` selects the legacy form.
-    """
-    if bufs is None and ctx is None:
-        body(lo, hi)
-    else:
-        body(bufs or {}, ctx or {}, rt, lo, hi)
-
-
-def _run_chunk(body: Callable, bufs: Optional[dict], ctx: Optional[dict],
+def _run_chunk(body: Callable, bufs: dict, ctx: dict,
                rt: "ParallelRuntime", lo: int, hi: int) -> None:
     _WORKER_STATE.active = True
     try:
-        _call_body(body, bufs, ctx, rt, lo, hi)
+        body(bufs, ctx, rt, lo, hi)
     finally:
         _WORKER_STATE.active = False
 
@@ -119,8 +106,7 @@ class ParallelRuntime:
 
         Externally provided storage (the output buffer, pre-bound inputs)
         takes precedence, exactly as the interpreter's Allocate handling;
-        otherwise a private zero-filled buffer is created.  The process-pool
-        runtime overrides this to back fresh allocations with shared memory.
+        otherwise a private zero-filled buffer is created.
         """
         buf = buffers.get(name)
         if buf is not None:
@@ -128,21 +114,16 @@ class ParallelRuntime:
         return np.zeros(max(int(size), 0), dtype=dtype)
 
     def parallel_for(self, body: Callable, mn: int, extent: int,
-                     bufs: Optional[dict] = None,
-                     ctx: Optional[dict] = None) -> None:
-        """Run a chunk body over ``[mn, mn+extent)``, possibly in chunks.
-
-        ``bufs``/``ctx`` select the module-level chunk-function convention
-        (``body(bufs, ctx, rt, lo, hi)``) the source backend emits; without
-        them ``body(lo, hi)`` closures are called directly (legacy form).
-        """
+                     bufs: dict, ctx: dict) -> None:
+        """Run ``body(bufs, ctx, rt, lo, hi)`` over ``[mn, mn+extent)``,
+        possibly in chunks."""
         mn, extent = int(mn), int(extent)
         if extent <= 0:
             return
         threads = self.threads
         if (threads is None or threads <= 1 or extent == 1
                 or getattr(_WORKER_STATE, "active", False)):
-            _call_body(body, bufs, ctx, self, mn, mn + extent)
+            body(bufs, ctx, self, mn, mn + extent)
             return
         pool = get_pool(threads)
         futures = [pool.submit(_run_chunk, body, bufs, ctx, self, lo, hi)

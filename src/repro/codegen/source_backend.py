@@ -44,12 +44,10 @@ through :meth:`CompiledPipeline.source`.
 
 from __future__ import annotations
 
-import hashlib
 import linecache
 import math
 import re
 import sys
-import warnings
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -123,21 +121,6 @@ _INTRINSIC_FUNCS = {
 
 _ENTRY_NAME = "_pipeline"
 
-_PROCESS_FALLBACK_WARNED = False
-
-
-def _warn_process_fallback() -> None:
-    """Warn (once per process) that ``parallel="process"`` fell back to
-    threads; silent mode changes would make benchmark rows misleading."""
-    global _PROCESS_FALLBACK_WARNED
-    if not _PROCESS_FALLBACK_WARNED:
-        _PROCESS_FALLBACK_WARNED = True
-        warnings.warn(
-            "Target(parallel='process') requested but process pools are "
-            "unavailable here; falling back to the thread runtime",
-            RuntimeWarning, stacklevel=3)
-
-
 def _sanitize(name: str) -> str:
     return re.sub(r"\W+", "_", name)
 
@@ -156,9 +139,9 @@ class _Value:
 class _ChunkScope:
     """Book-keeping for one parallel chunk function under emission.
 
-    Parallel loop bodies are emitted as *module-level* functions (so the
-    process-pool runtime can ship them to workers by name); every value the
-    body reads from its enclosing scope must therefore be passed explicitly.
+    Parallel loop bodies are emitted as *module-level* functions taking no
+    closure state; every value the body reads from its enclosing scope must
+    therefore be passed explicitly.
     ``scalar_refs`` (py-name -> py-name, an ordered set) and ``buf_refs``
     (buffer name -> py-name) collect those imports; ``defined`` holds the py
     locals created inside the chunk, which need no import.
@@ -492,10 +475,9 @@ class _Emitter:
         size = self.expr(node.size)
         py = self._tmp(f"_b_{_sanitize(node.name)}_")
         # rt.alloc gives externally provided storage (the output buffer)
-        # precedence, exactly as in the interpreter's Allocate handling, and
-        # lets the process-pool runtime back fresh top-level allocations with
-        # shared memory.  Inside a chunk function only the chunk's ``bufs``
-        # map is visible; allocations there are worker-private by design.
+        # precedence, exactly as in the interpreter's Allocate handling.
+        # Inside a chunk function only the chunk's ``bufs`` map is visible;
+        # allocations there are chunk-private by design.
         bufsrc = "bufs" if self._chunk_stack else "buffers"
         self._line(f"{py} = rt.alloc({bufsrc}, {node.name!r}, {size.code}, "
                    f"{self._dtype(node.type)})")
@@ -709,10 +691,9 @@ class _Emitter:
             gate, certified, needs_abort = self._emit_certificates(node, info, "2")
         fn = self._tmp(f"_chunk_{_sanitize(node.name)}_")
         self._line(f"# parallel for {node.name}")
-        # The chunk body becomes a *module-level* function: the thread
-        # runtime calls it directly, the process runtime ships it to workers
-        # by name (module-level functions need no closure state — every
-        # enclosing-scope value is passed through bufs/ctx explicitly).
+        # The chunk body becomes a *module-level* function the runtime calls
+        # directly: it needs no closure state — every enclosing-scope value
+        # is passed through bufs/ctx explicitly.
         outer_lines, outer_indent = self.lines, self.indent
         self.lines, self.indent = [], 1
         chunk = _ChunkScope()
@@ -806,15 +787,12 @@ class _Emitter:
 class CompiledProgram:
     """The generated source and its compiled entry point for one lowering."""
 
-    __slots__ = ("source", "entry", "filename", "digest")
+    __slots__ = ("source", "entry", "filename")
 
     def __init__(self, source: str, entry, filename: str):
         self.source = source
         self.entry = entry
         self.filename = filename
-        #: Stable content hash; keys the per-worker program cache in the
-        #: process-pool runtime.
-        self.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def generate_source(lowered: LoweredPipeline) -> str:
@@ -825,8 +803,7 @@ def generate_source(lowered: LoweredPipeline) -> str:
 def exec_source(source: str, filename: str) -> dict:
     """``compile()`` + ``exec()`` generated source, returning its namespace.
 
-    Used by :func:`compile_lowered` here, by the process-pool workers when
-    they re-exec the shipped source text, and by the persistent cache when it
+    Used by :func:`compile_lowered` here and by the persistent cache when it
     restores a program without relowering.  The source is registered with
     :mod:`linecache` so tracebacks through generated code show it.
     """
@@ -880,16 +857,7 @@ class CompiledExecutor(Executor):
                  target=None):
         super().__init__(lowered, listeners=listeners, target=target)
         self._program = compile_lowered(lowered)
-        threads = getattr(target, "threads", None)
-        self._process_workers: Optional[int] = None
-        if getattr(target, "parallel", None) == "process":
-            from repro.codegen.process_runtime import process_pool_available
-
-            if process_pool_available():
-                self._process_workers = threads if threads is not None else 1
-            else:
-                _warn_process_fallback()
-        self._runtime = ParallelRuntime(threads)
+        self._runtime = ParallelRuntime(getattr(target, "threads", None))
 
     @property
     def source(self) -> str:
@@ -897,21 +865,4 @@ class CompiledExecutor(Executor):
         return self._program.source
 
     def run(self) -> None:
-        if self._process_workers is None:
-            self._program.entry(self.scope, self.buffers, self._runtime)
-            return
-        from repro.codegen.process_runtime import ProcessPoolRuntime
-
-        # Process session: adopt every bound buffer into shared memory, run
-        # against the shared views, then write results back into the
-        # caller's arrays and unlink the segments — the caller observes
-        # exactly the serial/thread semantics.
-        runtime = ProcessPoolRuntime(self._process_workers,
-                                     self._program.source,
-                                     self._program.digest)
-        try:
-            session = {name: runtime.adopt(name, array)
-                       for name, array in self.buffers.items()}
-            self._program.entry(self.scope, session, runtime)
-        finally:
-            runtime.close()
+        self._program.entry(self.scope, self.buffers, self._runtime)

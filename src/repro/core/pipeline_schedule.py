@@ -218,23 +218,6 @@ class Schedule:
             result[name] = schedule
         return result
 
-    def apply_to_funcs(self, funcs) -> None:
-        """Destructively install this schedule on a set of Funcs.
-
-        This is the mutation-based compatibility shim behind
-        :meth:`AppPipeline.apply_schedule`; prefer the non-destructive
-        ``Pipeline.compile(schedule=...)`` path.
-        """
-        values = list(funcs.values() if hasattr(funcs, "values") else funcs)
-        env = {}
-        for f in values:
-            function = getattr(f, "function", f)
-            if getattr(function, "schedule", None) is not None:
-                env[function.name] = function
-        materialized = self.func_schedules(env)
-        for name, function in env.items():
-            function.schedule = materialized[name]
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -340,9 +323,6 @@ class ScheduleBuilder(FluentDirectives):
     def func_schedules(self, env):
         return self._sched.func_schedules(env)
 
-    def apply_to_funcs(self, funcs):
-        return self._sched.apply_to_funcs(funcs)
-
     def to_dict(self):
         return self._sched.to_dict()
 
@@ -383,7 +363,7 @@ def as_schedule(value) -> Optional[Schedule]:
             raise ScheduleError(
                 f"string schedule {value!r} is not Schedule JSON; named app "
                 "schedules resolve through AppPipeline "
-                "(app.realize(schedule=name) / app.named_schedule(name)), "
+                "(app.compile(name) / app.named_schedule(name)), "
                 "not through a raw Pipeline"
             ) from None
     if isinstance(value, Mapping):

@@ -449,20 +449,6 @@ class FuncSchedule:
         self.dims = [Dim(a) for a in self.storage_dims]
         self.splits = []
 
-    def reset(self) -> None:
-        """Restore the default (just-defined) schedule: domain order, call
-        schedule, bounds promises and storage folds are all cleared.
-
-        Applying a named schedule twice (or two different ones in sequence)
-        must not stack splits and markings; appliers reset first.
-        """
-        self.reset_domain_order()
-        self.compute_level = LoopLevel.inlined()
-        self.store_level = LoopLevel.inlined()
-        self.bounds = {}
-        self.storage_folds = {}
-        self.rdom_is_outer = False
-
     def describe(self) -> str:
         """A one-line human-readable summary (used in logs and EXPERIMENTS.md)."""
         parts = []

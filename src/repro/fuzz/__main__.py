@@ -45,10 +45,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", default="1,4",
                         help="comma-separated compiled-backend thread counts "
                              "(default '1,4')")
-    parser.add_argument("--process-workers", default="",
-                        help="comma-separated worker counts for the "
-                             "process-pool leg (compiled backend with "
-                             "parallel='process'); empty (default) skips it")
     parser.add_argument("--native", nargs="?", const="1,4", default="",
                         metavar="THREADS",
                         help="run the native compile-to-C leg at these "
@@ -68,8 +64,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     thread_counts = tuple(int(t) for t in str(args.threads).split(",") if t)
-    process_workers = tuple(
-        int(w) for w in str(args.process_workers).split(",") if w)
     native_threads = tuple(int(t) for t in str(args.native).split(",") if t)
     config = None
     if args.extended:
@@ -87,7 +81,6 @@ def main(argv=None) -> int:
         seed = case_seed(args.seed, index)
         case = FuzzCase.from_seed(seed, config=config,
                                   thread_counts=thread_counts,
-                                  process_worker_counts=process_workers,
                                   native_thread_counts=native_threads)
         report = run_case(case)
         if report.invalid:

@@ -45,6 +45,7 @@ from repro.fuzz.pipeline_gen import GeneratorConfig, build_pipeline, generate_sp
 from repro.fuzz.schedule_gen import REJECTION_ERRORS, generate_schedules
 from repro.fuzz.spec import PipelineSpec
 from repro.pipeline import Pipeline
+from repro.runtime.counters import Counters
 from repro.runtime.target import Target
 
 __all__ = ["FuzzCase", "CaseReport", "FuzzFailure", "run_case", "repro_script",
@@ -86,10 +87,6 @@ class FuzzCase:
     schedule: Schedule
     sizes: Tuple[int, ...]        # matches the spec's dimensionality
     thread_counts: Tuple[int, ...] = (1, 4)
-    #: Worker counts for the process-pool leg (compiled backend with
-    #: ``parallel="process"``).  Empty ⇒ the leg is skipped, and the case
-    #: serializes exactly as the pre-process format (stable keys/corpora).
-    process_worker_counts: Tuple[int, ...] = ()
     #: Thread counts for the native compile-to-C leg.  Empty ⇒ the leg is
     #: skipped, and the case serializes exactly as the pre-native format
     #: (stable keys/corpora).  Silently skipped when no C toolchain exists —
@@ -104,15 +101,12 @@ class FuzzCase:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "thread_counts",
                            tuple(int(t) for t in self.thread_counts))
-        object.__setattr__(self, "process_worker_counts",
-                           tuple(int(w) for w in self.process_worker_counts))
         object.__setattr__(self, "native_thread_counts",
                            tuple(int(t) for t in self.native_thread_counts))
 
     @classmethod
     def from_seed(cls, seed: int, config: Optional[GeneratorConfig] = None,
                   thread_counts: Sequence[int] = (1, 4),
-                  process_worker_counts: Sequence[int] = (),
                   native_thread_counts: Sequence[int] = ()) -> "FuzzCase":
         """Derive a full case (pipeline, schedule, sizes) from one seed."""
         import random
@@ -125,7 +119,6 @@ class FuzzCase:
         sizes = random.Random(f"repro-fuzz-sizes-{int(seed)}").choice(choices)
         return cls(spec=spec, schedule=schedule, sizes=sizes,
                    thread_counts=tuple(thread_counts),
-                   process_worker_counts=tuple(process_worker_counts),
                    native_thread_counts=tuple(native_thread_counts),
                    seed=int(seed))
 
@@ -150,8 +143,6 @@ class FuzzCase:
         }
         # Emitted only when set: pre-existing corpora (and their key()
         # hashes) are byte-for-byte unchanged.
-        if self.process_worker_counts:
-            data["process_worker_counts"] = list(self.process_worker_counts)
         if self.native_thread_counts:
             data["native_thread_counts"] = list(self.native_thread_counts)
         return data
@@ -161,12 +152,13 @@ class FuzzCase:
         version = data.get("version", CASE_FORMAT_VERSION)
         if version != CASE_FORMAT_VERSION:
             raise ValueError(f"unsupported fuzz-case format version {version!r}")
+        # A stored "process_worker_counts" key (the retired process-pool
+        # leg) is ignored, so older corpora still replay.
         return cls(
             spec=PipelineSpec.from_dict(data["spec"]),
             schedule=Schedule.from_dict(data["schedule"]),
             sizes=tuple(data["sizes"]),
             thread_counts=tuple(data.get("thread_counts", (1, 4))),
-            process_worker_counts=tuple(data.get("process_worker_counts", ())),
             native_thread_counts=tuple(data.get("native_thread_counts", ())),
             seed=data.get("seed"),
         )
@@ -179,12 +171,10 @@ class FuzzCase:
         return cls.from_dict(json.loads(text))
 
     def describe(self) -> str:
-        workers = (f" process_workers={list(self.process_worker_counts)}"
-                   if self.process_worker_counts else "")
         native = (f" native_threads={list(self.native_thread_counts)}"
                   if self.native_thread_counts else "")
         lines = [f"sizes={list(self.sizes)} threads={list(self.thread_counts)}"
-                 f"{workers}{native} seed={self.seed}",
+                 f"{native} seed={self.seed}",
                  "--- pipeline ---", self.spec.describe(),
                  "--- schedule ---", self.schedule.describe() or "(default)"]
         return "\n".join(lines)
@@ -243,10 +233,14 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
     pipeline = Pipeline(built.output)
     sizes = list(case.sizes)
 
+    def run_on(target, listeners=()):
+        compiled = pipeline.compile(sizes, schedule=case.schedule, target=target)
+        return compiled.run(listeners=listeners)
+
     # Reference: the scalar interpreter (with instrumentation).
+    ref_counters = Counters()
     try:
-        reference = pipeline.realize_with_report(sizes, schedule=case.schedule,
-                                                 target="interp")
+        ref = run_on("interp", [ref_counters])
     except REJECTION_ERRORS as error:
         report = CaseReport(case, ok=False, invalid=True,
                             failures=[f"schedule rejected: {error}"])
@@ -261,7 +255,6 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
             raise FuzzFailure(report) from error
         return report
 
-    ref = reference.output
     expected_dtype = np.dtype(case.spec.stages[-1].dtype)
     if tuple(ref.shape) != tuple(case.sizes):
         failures.append(f"bounds: output shape {ref.shape} != requested {case.sizes}")
@@ -270,13 +263,12 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
 
     # NumPy backend: output + instrumentation parity.
     try:
-        via_numpy = pipeline.realize_with_report(sizes, schedule=case.schedule,
-                                                 target="numpy")
-        diff = _bit_identical(ref, via_numpy.output)
+        numpy_counters = Counters()
+        diff = _bit_identical(ref, run_on("numpy", [numpy_counters]))
         if diff:
             failures.append(f"numpy output: {diff}")
         if check_counters:
-            a, b = reference.counters.summary(), via_numpy.counters.summary()
+            a, b = ref_counters.summary(), numpy_counters.summary()
             for key in COMPARED_COUNTERS:
                 if a[key] != b[key]:
                     failures.append(
@@ -288,9 +280,7 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
     # Compiled backend at every requested thread count.
     for threads in case.thread_counts:
         try:
-            out = pipeline.realize(sizes, schedule=case.schedule,
-                                   target=Target("compiled", threads=threads))
-            diff = _bit_identical(ref, out)
+            diff = _bit_identical(ref, run_on(Target("compiled", threads=threads)))
             if diff:
                 failures.append(f"compiled(threads={threads}) output: {diff}")
         except Exception as error:  # noqa: BLE001 - captured as a finding
@@ -298,30 +288,7 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
                 f"compiled(threads={threads}) raised {type(error).__name__}: "
                 f"{error}\n" + traceback.format_exc(limit=6))
 
-    # Fourth leg: the compiled backend on the process-pool runtime, at every
-    # requested worker count (silently skipped where process pools cannot
-    # run — the leg proves the runtime, not the platform).
-    if case.process_worker_counts:
-        from repro.codegen.process_runtime import process_pool_available
-
-        if process_pool_available():
-            for workers in case.process_worker_counts:
-                try:
-                    out = pipeline.realize(
-                        sizes, schedule=case.schedule,
-                        target=Target("compiled", threads=workers,
-                                      parallel="process"))
-                    diff = _bit_identical(ref, out)
-                    if diff:
-                        failures.append(
-                            f"compiled(process workers={workers}) output: {diff}")
-                except Exception as error:  # noqa: BLE001 - captured as a finding
-                    failures.append(
-                        f"compiled(process workers={workers}) raised "
-                        f"{type(error).__name__}: {error}\n"
-                        + traceback.format_exc(limit=6))
-
-    # Fifth leg: the native compile-to-C backend at every requested thread
+    # Fourth leg: the native compile-to-C backend at every requested thread
     # count (silently skipped without a C toolchain — the leg proves the
     # codegen, not the platform).
     if case.native_thread_counts:
@@ -330,10 +297,8 @@ def run_case(case: FuzzCase, raise_on_failure: bool = False,
         if toolchain_available():
             for threads in case.native_thread_counts:
                 try:
-                    out = pipeline.realize(sizes, schedule=case.schedule,
-                                           target=Target("native",
-                                                         threads=threads))
-                    diff = _bit_identical(ref, out)
+                    diff = _bit_identical(
+                        ref, run_on(Target("native", threads=threads)))
                     if diff:
                         failures.append(
                             f"native(threads={threads}) output: {diff}")

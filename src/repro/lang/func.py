@@ -162,19 +162,19 @@ class Func(FluentDirectives):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def realize(self, sizes: Sequence[int], **kwargs) -> np.ndarray:
-        """Compile and run the pipeline, returning the output as a numpy array.
+    def realize(self, sizes: Sequence[int], schedule=None, target=None,
+                params=None, inputs=None) -> np.ndarray:
+        """Compile and run the pipeline rooted at this Func, returning the
+        output as a numpy array: ``self.compile(sizes, schedule, target)
+        .run(params=params, inputs=inputs)``.
 
         ``sizes`` gives the extent of each output dimension (width, height, ...).
-        Keyword arguments are forwarded to :class:`repro.pipeline.Pipeline.realize`
-        (notably ``schedule=`` for a :class:`~repro.core.Schedule` value and
-        ``target=`` for a :class:`~repro.runtime.Target` / backend name).
         """
-        from repro.pipeline import Pipeline
+        return self.compile(sizes, schedule=schedule, target=target).run(
+            params=params, inputs=inputs)
 
-        return Pipeline(self).realize(sizes, **kwargs)
-
-    def compile(self, sizes: Sequence[int], schedule=None, target=None, **kwargs):
+    def compile(self, sizes: Sequence[int], schedule=None, target=None,
+                options=None):
         """Compile (without running) the pipeline rooted at this Func.
 
         Returns a reusable :class:`~repro.pipeline.CompiledPipeline`; see
@@ -184,7 +184,8 @@ class Func(FluentDirectives):
         """
         from repro.pipeline import Pipeline
 
-        return Pipeline(self).compile(sizes, schedule=schedule, target=target, **kwargs)
+        return Pipeline(self).compile(sizes, schedule=schedule, target=target,
+                                      options=options)
 
     def compile_to_stmt(self, sizes: Optional[Sequence[int]] = None):
         """Lower the pipeline and return the IR statement (for inspection/tests)."""

@@ -178,10 +178,9 @@ class CostModel(ExecutionListener):
 
 
 def estimate_cost(pipeline, sizes: Sequence[int],
-                  schedules=None, options=None,
+                  schedule=None, options=None,
                   profile: Optional[MachineProfile] = None,
-                  params=None, inputs=None,
-                  schedule=None, target=None,
+                  params=None, inputs=None, target=None,
                   mode: str = "dynamic") -> CostReport:
     """Estimate ``pipeline``'s cost at ``sizes`` and return the report.
 
@@ -206,9 +205,8 @@ def estimate_cost(pipeline, sizes: Sequence[int],
         from repro.analysis.static_cost import estimate_cost_static
 
         return estimate_cost_static(pipeline, sizes, schedule=schedule,
-                                    schedules=schedules, options=options,
-                                    params=params, profile=profile,
-                                    target=target)
+                                    options=options, params=params,
+                                    profile=profile, target=target)
     if mode != "dynamic":
         raise ValueError(f"unknown cost-model mode {mode!r}; "
                          "expected 'static' or 'dynamic'")
@@ -221,7 +219,7 @@ def estimate_cost(pipeline, sizes: Sequence[int],
     # Pinned to the interpreter backend regardless of the target's backend:
     # the cost model charges per-operation events, which the batched NumPy
     # backend does not report exactly.
-    pipeline.realize(sizes, schedules=schedules, schedule=schedule, options=options,
-                     listeners=[model], params=params, inputs=inputs,
-                     backend="interp")
+    compiled = pipeline.compile(sizes, schedule=schedule, target="interp",
+                                options=options)
+    compiled.run(params=params, inputs=inputs, listeners=[model])
     return model.report()

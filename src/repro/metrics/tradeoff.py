@@ -129,10 +129,9 @@ def _indices(index):
     return [int(index)]
 
 
-def measure_tradeoffs(pipeline, sizes: Sequence[int], schedules=None, options=None,
+def measure_tradeoffs(pipeline, sizes: Sequence[int], schedule=None, options=None,
                       params=None, inputs=None,
-                      baseline_ops: Optional[int] = None,
-                      schedule=None) -> TradeoffReport:
+                      baseline_ops: Optional[int] = None) -> TradeoffReport:
     """Run a pipeline under the trade-off metrics listener and return the report.
 
     ``schedule`` optionally applies a first-class :class:`~repro.core.Schedule`
@@ -148,8 +147,8 @@ def measure_tradeoffs(pipeline, sizes: Sequence[int], schedules=None, options=No
     # Pinned to the interpreter: these metrics consume the exact per-operation
     # event stream, which the batched NumPy backend does not report.  One
     # (cached) compilation supplies both the slide set and the execution.
-    compiled = pipeline.compile(sizes, schedules=schedules, schedule=schedule,
-                                options=options, target="interp")
+    compiled = pipeline.compile(sizes, schedule=schedule, options=options,
+                                target="interp")
     metrics = TradeoffMetrics(serialized_loops=set(compiled.lowered.slides.values()))
     compiled.run(listeners=[metrics], params=params, inputs=inputs)
     report = metrics.report()
@@ -158,8 +157,8 @@ def measure_tradeoffs(pipeline, sizes: Sequence[int], schedules=None, options=No
     return report
 
 
-def static_total_ops(pipeline, sizes: Sequence[int], schedules=None, options=None,
-                     params=None, schedule=None) -> int:
+def static_total_ops(pipeline, sizes: Sequence[int], schedule=None, options=None,
+                     params=None) -> int:
     """The exact operation count of a (pipeline, schedule) pair — statically.
 
     The work-amplification column of Figure 3 only needs ``total_ops``, and
@@ -171,6 +170,5 @@ def static_total_ops(pipeline, sizes: Sequence[int], schedules=None, options=Non
     """
     from repro.analysis.static_cost import estimate_cost_static
 
-    return estimate_cost_static(pipeline, sizes, schedules=schedules,
-                                schedule=schedule, options=options,
-                                params=params).ops
+    return estimate_cost_static(pipeline, sizes, schedule=schedule,
+                                options=options, params=params).ops

@@ -5,24 +5,26 @@ compiler, and a backend.  The primary entry point is :meth:`Pipeline.compile`:
 
     pipeline = Pipeline(blur_y)
     compiled = pipeline.compile(sizes=[1024, 768], schedule=s, target="numpy")
-    image = compiled()          # run; repeat without re-lowering
+    image = compiled.run()      # repeat without re-lowering
 
 ``schedule`` is a first-class :class:`~repro.core.Schedule` value applied
 *non-destructively* — the algorithm's Funcs are never mutated, so one graph
-can be realized under many schedules concurrently.  ``target`` is a
-:class:`~repro.runtime.Target` (a backend name string or the
-``REPRO_BACKEND`` environment variable still work and are coerced).
+can be realized under many schedules concurrently; without one, the
+schedules set directly on the Funcs are used.  ``target`` is a
+:class:`~repro.runtime.Target` (a backend name string is coerced).
 
 Compiled pipelines are cached per Pipeline in a bounded LRU keyed by
 (schedule digest, sizes, target, lowering options): repeated
-:meth:`realize` calls — tests, benchmarks, autotuner generations — hit the
-cache and skip lowering entirely.  :meth:`Pipeline.cache_info` exposes the
-hit/miss counters; every backend must produce bit-identical output for the
-same pipeline and schedule.
+:meth:`Pipeline.compile` calls — tests, benchmarks, autotuner generations —
+hit the cache and skip lowering entirely.  :meth:`Pipeline.cache_info`
+exposes the hit/miss counters; every backend must produce bit-identical
+output for the same pipeline and schedule.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import OrderedDict, namedtuple
 from dataclasses import astuple, replace as _dc_replace
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -33,15 +35,14 @@ from repro.analysis.call_graph import build_environment
 from repro.compiler.lower import LoweredPipeline, LoweringOptions, lower
 from repro.core.function import Function
 from repro.core.pipeline_schedule import Schedule, as_schedule
-from repro.core.schedule import FuncSchedule
 from repro.ir import expr as E
 from repro.ir.visitor import IRVisitor
 from repro.runtime.backend import create_executor
-from repro.runtime.counters import Counters, ExecutionListener
+from repro.runtime.counters import ExecutionListener
 from repro.runtime.target import Target
+from repro.types import Type
 
-__all__ = ["Pipeline", "CompiledPipeline", "RealizationReport", "CacheInfo",
-           "DiskCacheInfo"]
+__all__ = ["Pipeline", "CompiledPipeline", "CacheInfo", "DiskCacheInfo"]
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
@@ -81,33 +82,82 @@ class _ImageCollector(IRVisitor):
             self.visit(a)
 
 
-class RealizationReport:
-    """The output of an instrumented realization: the image plus counters."""
+class _ParamCollector(IRVisitor):
+    """The free scalar variables of one Function's definitions: every
+    Variable that is not a pure argument, a reduction variable or a
+    let-bound name.  Those are the algorithm's Params."""
 
-    def __init__(self, output: np.ndarray, counters: Counters,
-                 listeners: List[ExecutionListener]):
-        self.output = output
-        self.counters = counters
-        self.listeners = listeners
+    def __init__(self, bound):
+        self.bound = set(bound)
+        self.params: Dict[str, Type] = {}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RealizationReport(shape={self.output.shape}, {self.counters.summary()})"
+    def visit_Variable(self, node: E.Variable):
+        if node.name not in self.bound:
+            self.params.setdefault(node.name, node.type)
+
+    def visit_Let(self, node: E.Let):
+        self.visit(node.value)
+        self.bound.add(node.name)
+        self.visit(node.body)
+
+
+def _collect_params(env: Dict[str, Function]) -> Dict[str, Type]:
+    """Name -> type of every Param the algorithm reads."""
+    params: Dict[str, Type] = {}
+    for func in env.values():
+        bound = list(func.args) if func.definition is not None else []
+        rdom_bounds = []
+        for update in func.updates:
+            if update.rdom is not None:
+                for rvar in update.rdom:
+                    bound.append(rvar.name)
+                    rdom_bounds += [rvar.min, rvar.extent]
+        collector = _ParamCollector(bound)
+        for value in list(func.all_values()) + rdom_bounds:
+            collector.visit(value)
+        for name, type_ in collector.params.items():
+            params.setdefault(name, type_)
+    return params
+
+
+def _check_param(name: str, type_: Type, value):
+    """``value`` as the Python scalar every backend binds for a Param of
+    ``type_``; a TypeError if it is not exactly representable in an
+    integer type, a ValueError if it is out of the type's range."""
+    if type_.is_float():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"param {name!r} is {type_!r}; "
+                            f"got {value!r}, which is not a real number")
+        value = float(value)
+    elif isinstance(value, numbers.Integral):
+        value = int(value)
+    elif isinstance(value, numbers.Real) and float(value).is_integer():
+        value = int(value)
+    else:
+        raise TypeError(f"param {name!r} is {type_!r}; {value!r} "
+                        "is not exactly representable in it")
+    non_finite = type_.is_float() and not math.isfinite(value)  # inf/nan fit any float
+    if not non_finite and not type_.min_value() <= value <= type_.max_value():
+        raise ValueError(f"param {name!r} is {type_!r}; {value!r} "
+                         f"is outside [{type_.min_value()}, {type_.max_value()}]")
+    return bool(value) if type_.is_bool() else value
 
 
 class CompiledPipeline:
     """A reusable compiled realization of one pipeline.
 
     Holds the lowered program for a fixed (schedule, sizes, target, options)
-    key; calling it executes the program against fresh buffers.  Obtained
-    from :meth:`Pipeline.compile`; safe to call repeatedly and to hold on to
+    key; :meth:`run` executes the program against fresh buffers.  Obtained
+    from :meth:`Pipeline.compile`; safe to run repeatedly and to hold on to
     — it never observes later mutations of the algorithm's Funcs.
     """
 
     def __init__(self, pipeline: "Pipeline", lowered: LoweredPipeline,
                  sizes: Sequence[int], schedule: Schedule, target: Target,
-                 options: Optional[LoweringOptions], cache_key=None,
-                 images: Optional[Dict[str, object]] = None,
-                 meta: Optional[Dict[str, object]] = None):
+                 options: Optional[LoweringOptions], *,
+                 images: Dict[str, object],
+                 env: Optional[Dict[str, Function]] = None,
+                 cache_key=None, meta: Optional[Dict[str, object]] = None):
         self.pipeline = pipeline
         self.lowered = lowered
         self.sizes = [int(s) for s in sizes]
@@ -120,17 +170,18 @@ class CompiledPipeline:
         #: compile time, so redefining a stage afterwards cannot change which
         #: images this program binds.  The *data* is read at run time
         #: (in-place pixel updates are visible); a shape change is caught by
-        #: the bind-time validation below, and fresh compile()/realize()
-        #: calls recompile automatically because image shapes key the cache.
-        self._images = dict(images if images is not None
-                            else pipeline._collect_images())
+        #: the bind-time validation below, and fresh compile() calls
+        #: recompile automatically because image shapes key the cache.
+        self._images = dict(images)
         #: Declared (dtype, rank) of each image, checked at every bind.
         self._image_types = {
             name: (image.type.to_numpy_dtype(), image.dimensions())
             for name, image in self._images.items()}
         # Execution metadata is captured once here (rather than read off the
         # lowered IR at run time) so a program restored from the persistent
-        # cache — which has source text but no IR — runs identically.
+        # cache — which has source text but no IR — runs identically.  A
+        # fresh compilation reads it off the IR and the algorithm graph
+        # ``env``; a restore reads it from the cache payload.
         if meta is None:
             from repro.ir.op import const_value
 
@@ -140,6 +191,8 @@ class CompiledPipeline:
                     f"output {output.name!r} has {output.dimensions()} dimensions, "
                     f"compile() was given {len(self.sizes)} sizes"
                 )
+            #: Declared type of each Param, checked at every bind of ``params=``.
+            self._param_types = _collect_params(env)
             self._output_name = output.name
             self._dim_names = [str(dim) for dim in output.args]
             self._out_dtype = np.dtype(output.output_type.to_numpy_dtype())
@@ -153,6 +206,8 @@ class CompiledPipeline:
                     tuple(int(b) for b in baked)
                     if all(b is not None for b in baked) else None)
         else:
+            self._param_types = {name: Type(code, int(bits))
+                                 for name, (code, bits) in dict(meta["params"]).items()}
             self._output_name = str(meta["output_name"])
             self._dim_names = [str(d) for d in meta["dim_names"]]
             self._out_dtype = np.dtype(str(meta["out_dtype"]))
@@ -197,43 +252,32 @@ class CompiledPipeline:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def __call__(self, params: Optional[Dict[str, object]] = None,
-                 inputs: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
-        return self.run(params=params, inputs=inputs)
-
     def run(self, params: Optional[Dict[str, object]] = None,
             inputs: Optional[Dict[str, np.ndarray]] = None,
             listeners: Iterable[ExecutionListener] = ()) -> np.ndarray:
-        """Execute the compiled program, returning the output array."""
-        return self.run_with_report(params=params, inputs=inputs,
-                                    listeners=listeners).output
+        """Execute the compiled program, returning the output array.
 
-    def run_with_report(self, params: Optional[Dict[str, object]] = None,
-                        inputs: Optional[Dict[str, np.ndarray]] = None,
-                        listeners: Iterable[ExecutionListener] = ()) -> RealizationReport:
-        """Execute and also return execution counters and listeners.
-
-        Note: the ``compiled`` backend drives no listeners (its generated
-        code has no instrumentation), so counters read zero under it; use
-        the ``interp`` backend for exact event streams.
+        ``params`` binds scalar Params by name; ``inputs`` binds input images
+        by name (concrete :class:`~repro.lang.Buffer` inputs are bound
+        automatically).  ``listeners`` observe execution events — pass a
+        :class:`~repro.runtime.Counters` for operation and memory counters.
+        Only ``interp`` and ``numpy`` drive listeners; the ``compiled`` and
+        ``native`` backends warn and report nothing.
         """
-        counters = Counters()
-        all_listeners: List[ExecutionListener] = [counters] + list(listeners)
-        executor = create_executor(self.lowered, listeners=all_listeners,
+        listeners = tuple(listeners)
+        executor = create_executor(self.lowered, listeners=listeners,
                                    target=self.target)
-        if len(all_listeners) > 1 and not getattr(executor, "drives_listeners", True):
+        if listeners and not getattr(executor, "drives_listeners", True):
             import warnings
 
             warnings.warn(
                 f"backend {self.target.backend!r} does not drive instrumentation "
                 "listeners; the listeners passed to run() will observe nothing "
                 "(use the 'interp' backend for exact events)",
-                RuntimeWarning, stacklevel=3)
-
+                RuntimeWarning, stacklevel=2)
         flat_output = self._bind_all(executor, params, inputs)
         executor.run()
-        return RealizationReport(self._finalize(flat_output), counters,
-                                 all_listeners)
+        return self._finalize(flat_output)
 
     def realize_batch(self, batch: Sequence[Optional[Dict[str, np.ndarray]]],
                       params: Optional[Dict[str, object]] = None) -> List[np.ndarray]:
@@ -241,8 +285,7 @@ class CompiledPipeline:
 
         ``batch`` holds one ``inputs`` dict per item (``None`` for pipelines
         whose images are all pre-bound Buffers).  Batch items are dispatched
-        across the worker pool selected by the target — threads by default,
-        processes under ``Target(parallel="process")`` — with *loop-level*
+        across a thread pool of ``Target.threads`` workers, with *loop-level*
         parallelism disabled inside each item: batch-level parallelism
         composes with, and outranks, loop-level.  Output is bit-identical to
         N sequential :meth:`run` calls; an input whose shape mismatches the
@@ -253,7 +296,7 @@ class CompiledPipeline:
             return []
         # Bind every item first (shape errors surface before any dispatch),
         # against a serial inner target.
-        inner_target = _dc_replace(self.target, threads=None, parallel=None)
+        inner_target = _dc_replace(self.target, threads=None)
         prepared = []
         for inputs in items:
             executor = create_executor(self.lowered, listeners=(),
@@ -261,15 +304,7 @@ class CompiledPipeline:
             prepared.append((executor, self._bind_all(executor, params, inputs)))
 
         workers = self.target.threads or 1
-        use_process = False
-        if getattr(self.target, "parallel", None) == "process" and \
-                self.target.backend == "compiled":
-            from repro.codegen.process_runtime import process_pool_available
-
-            use_process = process_pool_available()
-        if use_process and len(items) > 1 and workers > 1:
-            self._run_batch_processes(prepared, workers)
-        elif workers > 1 and len(items) > 1:
+        if workers > 1 and len(items) > 1:
             self._run_batch_threads(prepared, workers)
         else:
             for executor, _ in prepared:
@@ -296,30 +331,6 @@ class CompiledPipeline:
         futures = [pool.submit(executor.run) for executor, _ in prepared]
         _drain_futures(futures)
 
-    def _run_batch_processes(self, prepared, workers: int) -> None:
-        """Ship whole-pipeline runs to worker processes, one per batch item.
-
-        The bound (scope, buffers) pair pickles over; the worker re-execs
-        the program source (cached by digest) and sends the filled output
-        buffer back by value.
-        """
-        from repro.codegen.process_runtime import (
-            _worker_run_pipeline,
-            get_process_pool,
-        )
-        from repro.codegen.source_backend import compile_lowered
-
-        program = compile_lowered(self.lowered)
-        pool = get_process_pool(workers)
-        futures = [
-            pool.submit(_worker_run_pipeline, program.digest, program.source,
-                        executor.scope, executor.buffers, self._output_name)
-            for executor, _ in prepared
-        ]
-        results = _drain_futures(futures)
-        for (_, flat), result in zip(prepared, results):
-            flat[...] = result
-
     # -- run plumbing ---------------------------------------------------
     def _bind_all(self, executor, params: Optional[Dict[str, object]],
                   inputs: Optional[Dict[str, np.ndarray]]) -> np.ndarray:
@@ -329,8 +340,14 @@ class CompiledPipeline:
             executor.bind(f"{self._output_name}.{dim}.extent", size)
             executor.bind(f"{self._output_name}.{dim}.max", size - 1)
 
-        for name, value in (params or {}).items():
-            executor.bind(name, value)
+        if params:
+            for name, value in params.items():
+                type_ = self._param_types.get(name)
+                if type_ is None:
+                    raise ValueError(
+                        f"unknown param {name!r}; this pipeline declares "
+                        f"{sorted(self._param_types) or 'no params'}")
+                executor.bind(name, _check_param(name, type_, value))
 
         # Bind input images: concrete buffers referenced by the algorithm
         # (map snapshotted at compile time), plus any explicitly supplied
@@ -384,8 +401,8 @@ class CompiledPipeline:
             raise ValueError(
                 f"input image {name!r} has shape {array.shape}, but this "
                 f"CompiledPipeline was compiled for shape {baked}; "
-                "recompile (Pipeline.compile / realize re-key the cache on image "
-                "shapes automatically)"
+                "recompile (Pipeline.compile re-keys the cache on image shapes "
+                "automatically)"
             )
         executor.bind_input(name, array)
 
@@ -407,6 +424,8 @@ class CompiledPipeline:
             "baked_shapes": {
                 name: (list(shape) if shape is not None else None)
                 for name, shape in self._baked_shapes.items()},
+            "params": {name: [type_.code, type_.bits]
+                       for name, type_ in self._param_types.items()},
         }
         if self.target.backend == "native":
             from repro.codegen.c_backend import compile_lowered_native
@@ -425,9 +444,9 @@ class CompiledPipeline:
     @classmethod
     def _restore(cls, pipeline: "Pipeline", payload: Dict[str, object],
                  sizes: Sequence[int], schedule: Schedule, target: Target,
-                 options: Optional[LoweringOptions], cache_key=None,
-                 images: Optional[Dict[str, object]] = None,
-                 blob_path=None) -> "CompiledPipeline":
+                 options: Optional[LoweringOptions], *,
+                 images: Dict[str, object],
+                 cache_key=None, blob_path=None) -> "CompiledPipeline":
         """Rebuild a CompiledPipeline from a persistent-cache payload.
 
         Compiled entries re-``exec`` the stored Python source; native
@@ -447,9 +466,8 @@ class CompiledPipeline:
             lowered = _RestoredLowering(make_program(
                 str(payload["source"]),
                 f"<repro.restored:{payload['output_name']}>"))
-        return cls(pipeline, lowered, sizes, schedule,
-                   target, options, cache_key=cache_key, images=images,
-                   meta=payload)
+        return cls(pipeline, lowered, sizes, schedule, target, options,
+                   images=images, cache_key=cache_key, meta=payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CompiledPipeline({self.lowered.output.name!r}, sizes={self.sizes}, "
@@ -554,24 +572,18 @@ class Pipeline:
     # ------------------------------------------------------------------
     def compile(self, sizes: Optional[Sequence[int]] = None,
                 schedule=None, target=None,
-                options: Optional[LoweringOptions] = None,
-                schedules: Optional[Dict[str, FuncSchedule]] = None) -> CompiledPipeline:
+                options: Optional[LoweringOptions] = None) -> CompiledPipeline:
         """Compile the pipeline under a schedule and target, with caching.
 
         ``schedule`` is anything :func:`~repro.core.as_schedule` accepts (a
         :class:`Schedule`, a fluent builder chain, a serialized dict or JSON
         string); it is applied non-destructively — the algorithm's Funcs keep
-        their own schedules.  When omitted, the Funcs' current (possibly
-        mutated) schedules are captured and used.  ``schedules`` is the
-        legacy per-function override dict; it composes with the Funcs'
-        current schedules exactly as before.
+        their own schedules.  When omitted, the schedules set directly on
+        the Funcs are captured and used.
 
         Results are cached per Pipeline in a bounded LRU keyed by (schedule
         digest, sizes, target, options); a hit skips all lowering work.
         """
-        if schedule is not None and schedules is not None:
-            raise ValueError("pass either schedule= (a Schedule value) or "
-                             "schedules= (legacy FuncSchedule overrides), not both")
         if sizes is None:
             raise ValueError("compile() requires concrete output sizes; "
                              "use lower() for a symbolic (size-generic) lowering")
@@ -580,25 +592,13 @@ class Pipeline:
         explicit = schedule is not None
         if explicit:
             sched = as_schedule(schedule)
-        elif schedules is not None:
-            # Legacy override dicts compose with the Funcs' current
-            # schedules; capture the merged view so the cache key is exact
-            # and application stays non-destructive.
-            merged: Dict[str, FuncSchedule] = {}
-            for name, func in env.items():
-                if name in schedules:
-                    merged[name] = schedules[name]
-                elif func.schedule is not None:
-                    merged[name] = func.schedule
-            sched = Schedule.from_func_schedules(merged)
-            explicit = True
         else:
             # Capture the Funcs' current schedules: together with the
             # algorithm fingerprint this keys the cache, so in-place
             # re-scheduling or re-definition between calls is never stale.
             sched = Schedule.from_funcs(env.values())
 
-        images = self._collect_images()
+        images = self._collect_images(env)
         key = _cache_key(sched, sizes, target, options, env, images)
         cached = self._compile_cache.get(key)
         if cached is not None:
@@ -623,7 +623,7 @@ class Pipeline:
                 try:
                     compiled = CompiledPipeline._restore(
                         self, payload, sizes, sched, target, options,
-                        cache_key=key, images=images, blob_path=blob)
+                        images=images, cache_key=key, blob_path=blob)
                 except Exception:
                     # A well-formed entry whose source no longer execs
                     # (format drift, manual tampering): recompile over it.
@@ -632,7 +632,7 @@ class Pipeline:
                     return self._cache_insert(key, compiled)
 
         overrides = sched.func_schedules(env) if explicit else None
-        lowered = self._lower(sizes=sizes, schedules=overrides, options=options)
+        lowered = self._lower(sizes, overrides, options)
         if target.backend == "compiled":
             # Generate + exec the Python source now, so compile() really is
             # the compile step: run()/timed regions (the wall-clock evaluator,
@@ -648,7 +648,7 @@ class Pipeline:
 
             compile_lowered_native(lowered)
         compiled = CompiledPipeline(self, lowered, sizes, sched, target, options,
-                                    cache_key=key, images=images)
+                                    images=images, env=env, cache_key=key)
         if disk is not None:
             disk.store(key_str, compiled._disk_payload())
             if target.backend == "native":
@@ -707,20 +707,17 @@ class Pipeline:
         self._cache_hits = 0
         self._cache_misses = 0
 
-    def _lower(self, sizes: Optional[Sequence[int]] = None,
-               schedules: Optional[Dict[str, FuncSchedule]] = None,
-               options: Optional[LoweringOptions] = None) -> LoweredPipeline:
+    def _lower(self, sizes: Optional[Sequence[int]], overrides,
+               options: Optional[LoweringOptions]) -> LoweredPipeline:
         output_bounds = None
         if sizes is not None:
             output_bounds = [(0, int(size)) for size in sizes]
         self._lowerings += 1
-        return lower(self.output_function, schedule_overrides=schedules, options=options,
+        return lower(self.output_function, schedule_overrides=overrides, options=options,
                      output_bounds=output_bounds)
 
-    def lower(self, sizes: Optional[Sequence[int]] = None,
-              schedules: Optional[Dict[str, FuncSchedule]] = None,
-              options: Optional[LoweringOptions] = None,
-              schedule=None) -> LoweredPipeline:
+    def lower(self, sizes: Optional[Sequence[int]] = None, schedule=None,
+              options: Optional[LoweringOptions] = None) -> LoweredPipeline:
         """Lower the pipeline (uncached; prefer :meth:`compile`).
 
         With ``sizes``, the compiler specializes the loop nest for that output
@@ -728,61 +725,16 @@ class Pipeline:
         symbolic and are bound by the runtime.  ``schedule`` optionally
         applies a :class:`Schedule` value non-destructively.
         """
+        overrides = None
         if schedule is not None:
-            if schedules is not None:
-                raise ValueError("pass either schedule= or schedules=, not both")
-            schedules = as_schedule(schedule).func_schedules(self.functions())
-        return self._lower(sizes=sizes, schedules=schedules, options=options)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def realize(self, sizes: Sequence[int],
-                schedules: Optional[Dict[str, FuncSchedule]] = None,
-                options: Optional[LoweringOptions] = None,
-                listeners: Iterable[ExecutionListener] = (),
-                params: Optional[Dict[str, object]] = None,
-                inputs: Optional[Dict[str, np.ndarray]] = None,
-                backend: Optional[str] = None,
-                schedule=None, target=None) -> np.ndarray:
-        """Compile (cached) and run, returning the output as a numpy array.
-
-        ``sizes`` gives the extent of each output dimension.  ``params`` binds
-        scalar parameters by name; ``inputs`` binds image parameters by name
-        (concrete :class:`~repro.lang.Buffer` inputs are found automatically).
-        ``schedule``/``target`` select a first-class Schedule and Target;
-        ``backend`` (a name string) and ``schedules`` (per-function override
-        dicts) are the legacy forms and still accepted.
-        """
-        report = self.realize_with_report(sizes, schedules=schedules, options=options,
-                                          listeners=listeners, params=params, inputs=inputs,
-                                          backend=backend, schedule=schedule, target=target)
-        return report.output
-
-    def realize_with_report(self, sizes: Sequence[int],
-                            schedules: Optional[Dict[str, FuncSchedule]] = None,
-                            options: Optional[LoweringOptions] = None,
-                            listeners: Iterable[ExecutionListener] = (),
-                            params: Optional[Dict[str, object]] = None,
-                            inputs: Optional[Dict[str, np.ndarray]] = None,
-                            backend: Optional[str] = None,
-                            schedule=None, target=None) -> RealizationReport:
-        """Like :meth:`realize`, but also returns execution counters and listeners."""
-        if target is None:
-            target = backend  # legacy string form; Target.resolve coerces
-        elif backend is not None and Target.resolve(target).backend != \
-                Target.resolve(backend).backend:
-            raise ValueError(f"conflicting backend={backend!r} and target={target!r}")
-        compiled = self.compile(sizes=[int(s) for s in sizes], schedule=schedule,
-                                target=target, options=options, schedules=schedules)
-        return compiled.run_with_report(params=params, inputs=inputs, listeners=listeners)
+            overrides = as_schedule(schedule).func_schedules(self.functions())
+        return self._lower(sizes, overrides, options)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _collect_images(self) -> Dict[str, object]:
+    def _collect_images(self, env: Dict[str, Function]) -> Dict[str, object]:
         collector = _ImageCollector()
-        env = build_environment([self.output_function])
         for func in env.values():
             for value in func.all_values():
                 collector.visit(value)
@@ -792,9 +744,8 @@ class Pipeline:
         """All functions reachable from the output, keyed by name."""
         return build_environment([self.output_function])
 
-    def print_loop_nest(self, schedules: Optional[Dict[str, FuncSchedule]] = None,
-                        schedule=None) -> str:
+    def print_loop_nest(self, schedule=None) -> str:
         """A human-readable rendering of the synthesized loop nest."""
         from repro.ir.printer import pretty_print
 
-        return pretty_print(self.lower(schedules=schedules, schedule=schedule).stmt)
+        return pretty_print(self.lower(schedule=schedule).stmt)

@@ -4,7 +4,7 @@ execution instrumentation used by the machine model.
 The vectorized NumPy backend and the compile-to-Python source backend live
 in :mod:`repro.codegen` and register here under the names ``"numpy"`` and
 ``"compiled"``; select backends through :func:`get_backend` /
-``Pipeline.realize(target=...)`` (a :class:`Target` carries the backend name
+``Pipeline.compile(target=...)`` (a :class:`Target` carries the backend name
 plus execution parameters such as ``threads``).
 """
 
@@ -15,7 +15,6 @@ from repro.runtime.backend import (
     create_executor,
     get_backend,
     register_backend,
-    resolve_backend_name,
     validate_backend_name,
 )
 from repro.runtime.counters import Counters, ExecutionListener
@@ -43,6 +42,5 @@ __all__ = [
     "create_executor",
     "get_backend",
     "register_backend",
-    "resolve_backend_name",
     "validate_backend_name",
 ]

@@ -27,8 +27,8 @@ the benchmark harness select one by name:
   backend by far; requires a C toolchain (see
   :mod:`repro.codegen.c_toolchain`).
 
-The default is ``"interp"``; set the ``REPRO_BACKEND`` environment variable
-or pass ``backend=``/``target=`` to :meth:`Pipeline.realize` to override.
+The default is ``"interp"``; pass ``target=`` to :meth:`Pipeline.compile` to
+select another.
 
 Backend factories are called as ``factory(lowered, listeners=..., target=...)``
 where ``target`` is the resolved :class:`~repro.runtime.target.Target`;
@@ -38,8 +38,7 @@ them.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Iterable, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -52,15 +51,12 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_names",
-    "resolve_backend_name",
     "validate_backend_name",
     "create_executor",
     "DEFAULT_BACKEND",
-    "BACKEND_ENV_VAR",
 ]
 
 DEFAULT_BACKEND = "interp"
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 @runtime_checkable
@@ -76,7 +72,7 @@ class Backend(Protocol):
     def run(self) -> None: ...
 
 
-#: A backend is registered as a factory: (lowered, listeners) -> Backend.
+#: A backend is registered as a factory: (lowered, listeners, target) -> Backend.
 BackendFactory = Callable[..., Backend]
 
 _BACKENDS: Dict[str, BackendFactory] = {}
@@ -114,73 +110,37 @@ def backend_names() -> tuple:
     return tuple(sorted(_BACKENDS))
 
 
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Resolve an explicit name, the ``REPRO_BACKEND`` env var, or the default."""
-    if name is not None:
-        return name
-    return os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-
-
 def validate_backend_name(name: str) -> str:
     """Check a backend name against the registry, with a clear early error.
 
     :class:`~repro.runtime.target.Target` calls this at construction time, so
-    an unknown ``backend=`` argument or a bad ``REPRO_BACKEND`` value fails
-    before any lowering work happens, listing the registered backends.
+    an unknown backend fails before any lowering work happens, listing the
+    registered backends.
     """
     _ensure_builtin_backends()
     if name not in _BACKENDS:
         raise ValueError(
-            f"unknown backend {name!r}; available backends: {', '.join(backend_names())} "
-            f"(selected via backend=/Target(backend=...) or the {BACKEND_ENV_VAR} "
-            "environment variable)"
-        )
+            f"unknown backend {name!r}; available backends: {', '.join(backend_names())}")
     return name
 
 
-def get_backend(name: Optional[str] = None) -> BackendFactory:
-    """Look up a backend factory by (resolved) name."""
-    _ensure_builtin_backends()
-    return _BACKENDS[validate_backend_name(resolve_backend_name(name))]
+def get_backend(name: str) -> BackendFactory:
+    """Look up a backend factory by name."""
+    return _BACKENDS[validate_backend_name(name)]
 
 
 def create_executor(lowered: LoweredPipeline,
                     listeners: Iterable[ExecutionListener] = (),
-                    backend: Optional[str] = None,
                     target=None) -> Backend:
     """Instantiate a backend over a lowered pipeline.
 
-    ``target`` (a :class:`~repro.runtime.target.Target`, or anything its
-    ``resolve`` accepts) takes precedence over the legacy ``backend`` string.
-    The resolved Target is forwarded to the backend factory, so execution
-    parameters such as ``Target.threads`` reach the runtime.
+    ``target`` is a :class:`~repro.runtime.target.Target` or anything its
+    ``resolve`` accepts; the resolved Target is forwarded to the backend
+    factory, so execution parameters such as ``Target.threads`` reach the
+    runtime.
     """
     from repro.runtime.target import Target  # local import: Target imports us
 
-    resolved = Target.resolve(target if target is not None else backend)
-    factory = get_backend(resolved.backend)
-    if _factory_accepts_target(factory):
-        return factory(lowered, listeners=listeners, target=resolved)
-    return factory(lowered, listeners=listeners)
-
-
-#: Memoized per factory: signature inspection is too slow for run() hot paths.
-_ACCEPTS_TARGET: Dict[BackendFactory, bool] = {}
-
-
-def _factory_accepts_target(factory: BackendFactory) -> bool:
-    """Whether a factory takes the ``target=`` keyword.
-
-    Third-party factories registered under the pre-Target contract
-    (``factory(lowered, listeners=...)``) keep working: target is only
-    passed when the signature accepts it.
-    """
-    accepts = _ACCEPTS_TARGET.get(factory)
-    if accepts is None:
-        import inspect
-
-        parameters = inspect.signature(factory).parameters
-        accepts = "target" in parameters or any(
-            p.kind == p.VAR_KEYWORD for p in parameters.values())
-        _ACCEPTS_TARGET[factory] = accepts
-    return accepts
+    resolved = Target.resolve(target)
+    return get_backend(resolved.backend)(lowered, listeners=listeners,
+                                         target=resolved)

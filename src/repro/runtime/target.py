@@ -2,10 +2,8 @@
 
 A :class:`Target` is a structured descriptor of *where and how* a pipeline
 runs: the execution backend, an optional SIMD width and thread count, and an
-optional machine profile (for the abstract machine model).  It replaces the
-ad-hoc ``backend="interp"|"numpy"`` string + ``REPRO_BACKEND`` environment
-variable plumbing: strings (and the environment variable) are still accepted
-everywhere and coerced via :meth:`Target.resolve`, but the resolved object is
+optional machine profile (for the abstract machine model).  A backend name
+string is coerced via :meth:`Target.resolve`; either way the object is
 validated *early* — an unknown backend raises immediately with the list of
 registered backends, instead of surfacing as a late failure deep inside
 executor creation.
@@ -19,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
-from repro.runtime.backend import resolve_backend_name, validate_backend_name
+from repro.runtime.backend import DEFAULT_BACKEND, validate_backend_name
 
 __all__ = ["Target", "as_target"]
 
@@ -28,37 +26,22 @@ __all__ = ["Target", "as_target"]
 class Target:
     """A structured descriptor of an execution target.
 
-    ``backend`` defaults to the ``REPRO_BACKEND`` environment variable (or
-    the interpreter); it is validated against the backend registry at
-    construction time.  ``vector_width`` and ``threads`` describe the machine
-    the schedule is tuned for (consumed by the cost model as overrides of the
-    named ``profile``); ``threads`` additionally sizes the thread pool the
-    ``compiled`` backend runs parallel loops on.  Backends that cannot honour
+    ``backend`` defaults to the interpreter; it is validated against the
+    backend registry at construction time.  ``vector_width`` and ``threads``
+    describe the machine the schedule is tuned for (consumed by the cost
+    model as overrides of the named ``profile``); ``threads`` additionally
+    sizes the thread pool the ``compiled`` backend runs parallel loops on.  Backends that cannot honour
     a parameter simply ignore it.
     """
 
-    backend: Optional[str] = None
+    backend: str = DEFAULT_BACKEND
     vector_width: Optional[int] = None
     threads: Optional[int] = None
     #: Name of a machine profile (see :data:`repro.machine.profiles.PROFILES`).
     profile: Optional[str] = None
-    #: How ``ForType.PARALLEL`` loops execute on the ``compiled`` backend:
-    #: ``"thread"`` (the default, a shared thread pool) or ``"process"`` (a
-    #: process pool with shared-memory buffers, sidestepping the GIL; falls
-    #: back to threads when process pools are unavailable).  ``threads``
-    #: sizes the worker pool in either mode.
-    parallel: Optional[str] = None
-
-    #: The parallel modes :attr:`parallel` accepts (``None`` means thread).
-    PARALLEL_MODES = ("thread", "process")
 
     def __post_init__(self):
-        resolved = validate_backend_name(resolve_backend_name(self.backend))
-        object.__setattr__(self, "backend", resolved)
-        if self.parallel is not None and self.parallel not in self.PARALLEL_MODES:
-            raise ValueError(
-                f"Target.parallel must be one of {self.PARALLEL_MODES} (or None), "
-                f"got {self.parallel!r}")
+        validate_backend_name(self.backend)
         profile = self.profile
         if profile is not None and not isinstance(profile, str):
             # Accept MachineProfile instances; store the stable name.
@@ -80,7 +63,7 @@ class Target:
     # ------------------------------------------------------------------
     @classmethod
     def resolve(cls, value: Union[None, str, "Target", Dict]) -> "Target":
-        """Coerce target-like values: None (env var / default), a backend
+        """Coerce target-like values: None (the default backend), a backend
         name string, a serialized dict, or a Target (returned unchanged)."""
         if isinstance(value, Target):
             return value
@@ -118,8 +101,7 @@ class Target:
 
     def key(self) -> Tuple:
         """A hashable cache-key component identifying this target."""
-        return (self.backend, self.vector_width, self.threads, self.profile,
-                self.parallel)
+        return (self.backend, self.vector_width, self.threads, self.profile)
 
     # ------------------------------------------------------------------
     # serialization
@@ -130,17 +112,17 @@ class Target:
             "vector_width": self.vector_width,
             "threads": self.threads,
             "profile": self.profile,
-            "parallel": self.parallel,
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Target":
+        # A stored "parallel" key (written when a process-pool runtime
+        # existed) is ignored: parallel loops always run on threads.
         return cls(
-            backend=data.get("backend"),
+            backend=data.get("backend") or DEFAULT_BACKEND,
             vector_width=data.get("vector_width"),
             threads=data.get("threads"),
             profile=data.get("profile"),
-            parallel=data.get("parallel"),
         )
 
     def __str__(self) -> str:
@@ -149,8 +131,6 @@ class Target:
             parts.append(f"vec{self.vector_width}")
         if self.threads is not None:
             parts.append(f"threads{self.threads}")
-        if self.parallel is not None:
-            parts.append(self.parallel)
         if self.profile is not None:
             parts.append(self.profile)
         return "-".join(parts)

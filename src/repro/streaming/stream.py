@@ -39,6 +39,8 @@ from typing import Dict, Iterable, Iterator, Optional
 
 import numpy as np
 
+from repro.runtime.backend import get_backend
+from repro.runtime.counters import Counters
 from repro.streaming.memory import static_peak_bytes
 
 __all__ = ["StreamError", "StreamStats", "realize_stream"]
@@ -172,12 +174,13 @@ def realize_stream(compiled, frames, *,
     stats.chunk_frames = chunk
     target = compiled.target
     if pipeline_depth is None:
-        wants_parallel = bool(getattr(target, "parallel", None)) or \
-            (getattr(target, "threads", None) or 1) > 1
-        pipeline_depth = 2 if wants_parallel else 1
+        pipeline_depth = 2 if (target.threads or 1) > 1 else 1
     depth = max(1, int(pipeline_depth))
     stats.pipeline_depth = depth
     stats.static_peak_bytes, _ = static_peak_bytes(compiled.lowered)
+    # Only backends that drive listeners can measure per-chunk peaks; the
+    # others run with no listener at all (no warning, no per-chunk cost).
+    counted = getattr(get_backend(target.backend), "drives_listeners", True)
 
     source = _frame_iter(frames, t_axis, ndim)
 
@@ -227,18 +230,20 @@ def realize_stream(compiled, frames, *,
             yield block, len(got)
 
     def run_chunk(input_array: np.ndarray):
-        report = compiled.run_with_report(params=params,
-                                          inputs={**(extra_inputs or {}),
-                                                  name: input_array})
-        return report.output, report.counters
+        counters = Counters() if counted else None
+        output = compiled.run(params=params,
+                              inputs={**(extra_inputs or {}), name: input_array},
+                              listeners=(counters,) if counted else ())
+        return output, counters
 
     def emit(output: np.ndarray, counters, valid: int) -> Iterator[np.ndarray]:
         stats.chunks += 1
-        stats.peak_intermediate_bytes = max(
-            stats.peak_intermediate_bytes, counters.peak_allocated_bytes)
-        for buf, peak in counters.peak_allocated_by_buffer.items():
-            stats.peak_by_buffer[buf] = max(stats.peak_by_buffer.get(buf, 0),
-                                            peak)
+        if counters is not None:
+            stats.peak_intermediate_bytes = max(
+                stats.peak_intermediate_bytes, counters.peak_allocated_bytes)
+            for buf, peak in counters.peak_allocated_by_buffer.items():
+                stats.peak_by_buffer[buf] = max(
+                    stats.peak_by_buffer.get(buf, 0), peak)
         for i in range(valid):
             stats.frames_out += 1
             yield output[plane(i)].copy(order="F")

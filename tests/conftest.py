@@ -2,8 +2,9 @@
 
 The image-comparison helpers live in :mod:`_image_assertions`; the re-export
 below keeps older ``from conftest import assert_images_close`` imports
-working.  Tests marked ``@pytest.mark.native`` are auto-skipped on machines
-without a C compiler (the probe runs once per process and is cached).
+working, and :func:`schedule_funcs` schedules an app's Funcs directly.
+Tests marked ``@pytest.mark.native`` are auto-skipped on machines without a
+C compiler (the probe runs once per process and is cached).
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ def pytest_collection_modifyitems(config, items):
             for item in items:
                 if item.get_closest_marker("native"):
                     item.add_marker(skip)
+
+
+def schedule_funcs(app, name):
+    """Schedule the app's Funcs directly — the paper's way of scheduling —
+    with the directives of one of its named schedules; returns the app."""
+    schedule = app.named_schedule(name)
+    for func in app.funcs.values():
+        for directive in schedule.directives(func.function.name):
+            func.schedule.apply(*directive)
+    return app
 
 
 @pytest.fixture

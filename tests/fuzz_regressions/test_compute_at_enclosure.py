@@ -57,8 +57,8 @@ def test_compute_at_single_consumer_still_lowers():
     schedule = (Schedule()
                 .func("s0").compute_at("s2", "y").store_at("s2", "y")
                 .func("s2").compute_root().schedule)
-    out = Pipeline(s2).realize([8, 6], schedule=schedule, target="interp")
-    ref = Pipeline(s2).realize([8, 6], target="interp")
+    out = Pipeline(s2).compile([8, 6], schedule=schedule, target="interp").run()
+    ref = Pipeline(s2).compile([8, 6], target="interp").run()
     assert out.tobytes() == ref.tobytes()
 
 
@@ -73,8 +73,8 @@ def test_compute_at_consumer_chain_is_accepted():
                 .func("s0").compute_at("s1", "y").store_at("s1", "y")
                 .func("s1").compute_at("s3", "y").store_at("s3", "y")
                 .func("s3").compute_root().schedule)
-    out = Pipeline(s3).realize([8, 6], schedule=schedule, target="interp")
-    ref = Pipeline(s3).realize([8, 6], target="interp")
+    out = Pipeline(s3).compile([8, 6], schedule=schedule, target="interp").run()
+    ref = Pipeline(s3).compile([8, 6], target="interp").run()
     assert out.tobytes() == ref.tobytes()
 
 

@@ -48,9 +48,9 @@ def test_inner_resplit_realizes_in_bounds(backend):
     """Previously: ExecutionError 'store to ... out of bounds (index 193,
     size 192)' on the interpreter; now all backends agree bit-for-bit."""
     f = _pipeline()
-    reference = Pipeline(f).realize([11, 7], schedule=_SCHEDULE, target="interp")
-    out = Pipeline(f).realize([11, 7], schedule=_SCHEDULE,
-                              target=Target(backend=backend))
+    reference = Pipeline(f).compile([11, 7], schedule=_SCHEDULE, target="interp").run()
+    out = Pipeline(f).compile([11, 7], schedule=_SCHEDULE,
+                              target=Target(backend=backend)).run()
     assert out.shape == (11, 7)
     assert out.tobytes() == reference.tobytes()
 

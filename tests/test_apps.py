@@ -44,29 +44,30 @@ class TestBlurApp:
 
     def test_matches_reference(self, module_rng):
         image = module_rng.random((32, 20)).astype(np.float32)
-        app = make_blur(image).apply_schedule("tuned")
-        assert_images_close(app.realize(), blur_ref(image))
+        app = make_blur(image)
+        assert_images_close(app.compile("tuned").run(), blur_ref(image))
 
 
 class TestUnsharpApp:
     @pytest.mark.parametrize("schedule", ["breadth_first", "tuned"])
     def test_matches_reference(self, module_rng, schedule):
         image = module_rng.random((32, 24)).astype(np.float32)
-        app = make_unsharp(image, strength=1.5).apply_schedule(schedule)
-        assert_images_close(app.realize(), unsharp_ref(image, 1.5), tolerance=1e-3)
+        app = make_unsharp(image, strength=1.5)
+        assert_images_close(app.compile(schedule).run(), unsharp_ref(image, 1.5), tolerance=1e-3)
 
 
 class TestHistogramEqualizeApp:
     @pytest.mark.parametrize("schedule", ["breadth_first", "tuned"])
     def test_matches_reference(self, module_rng, schedule):
         image = (module_rng.random((24, 18)) * 256).astype(np.uint8)
-        app = make_histogram_equalize(image).apply_schedule(schedule)
-        assert_images_close(app.realize(), histogram_equalize_ref(image), tolerance=1e-3)
+        app = make_histogram_equalize(image)
+        assert_images_close(app.compile(schedule).run(), histogram_equalize_ref(image),
+                            tolerance=1e-3)
 
     def test_output_is_monotone_in_input(self, module_rng):
         image = (module_rng.random((16, 12)) * 256).astype(np.uint8)
-        app = make_histogram_equalize(image).apply_schedule("breadth_first")
-        result = app.realize()
+        app = make_histogram_equalize(image)
+        result = app.compile("breadth_first").run()
         flat_in = image.ravel()
         flat_out = result.ravel()
         order = np.argsort(flat_in, kind="stable")
@@ -77,14 +78,14 @@ class TestBilateralGridApp:
     @pytest.mark.parametrize("schedule", ["breadth_first", "tuned"])
     def test_matches_reference(self, module_rng, schedule):
         image = module_rng.random((24, 16)).astype(np.float32)
-        app = make_bilateral_grid(image, s_sigma=8, r_sigma=0.2).apply_schedule(schedule)
+        app = make_bilateral_grid(image, s_sigma=8, r_sigma=0.2)
         reference = bilateral_grid_ref(image, 8, 0.2)
-        assert_images_close(app.realize(), reference, tolerance=1e-3)
+        assert_images_close(app.compile(schedule).run(), reference, tolerance=1e-3)
 
     def test_smooths_but_preserves_range(self, module_rng):
         image = module_rng.random((24, 16)).astype(np.float32)
-        app = make_bilateral_grid(image, s_sigma=8, r_sigma=0.2).apply_schedule("breadth_first")
-        result = app.realize()
+        app = make_bilateral_grid(image, s_sigma=8, r_sigma=0.2)
+        result = app.compile("breadth_first").run()
         assert result.min() >= -1e-3 and result.max() <= 1.0 + 1e-3
         assert result.std() <= image.std() + 1e-3
 
@@ -92,20 +93,20 @@ class TestBilateralGridApp:
 class TestCameraPipeApp:
     def test_matches_reference(self, module_rng):
         raw = (module_rng.random((48, 40)) * 1024).astype(np.uint16)
-        app = make_camera_pipe(raw).apply_schedule("breadth_first")
-        result = app.realize([40, 32, 3])
+        app = make_camera_pipe(raw)
+        result = app.compile("breadth_first", [40, 32, 3]).run()
         reference = camera_pipe_ref(raw, 40, 32)
         assert_images_close(result[2:-2, 2:-2], reference[2:-2, 2:-2], tolerance=1e-2)
 
     def test_tuned_schedule_matches_naive(self, module_rng):
         raw = (module_rng.random((48, 40)) * 1024).astype(np.uint16)
-        naive = make_camera_pipe(raw).apply_schedule("breadth_first").realize([32, 24, 3])
-        tuned = make_camera_pipe(raw).apply_schedule("tuned").realize([32, 24, 3])
+        naive = make_camera_pipe(raw).compile("breadth_first", [32, 24, 3]).run()
+        tuned = make_camera_pipe(raw).compile("tuned", [32, 24, 3]).run()
         assert_images_close(tuned, naive)
 
     def test_output_in_display_range(self, module_rng):
         raw = (module_rng.random((48, 40)) * 1024).astype(np.uint16)
-        result = make_camera_pipe(raw).apply_schedule("breadth_first").realize([32, 24, 3])
+        result = make_camera_pipe(raw).compile("breadth_first", [32, 24, 3]).run()
         assert result.min() >= 0.0 and result.max() <= 255.0
 
     def test_figure6_complexity(self, module_rng):
@@ -122,8 +123,8 @@ class TestInterpolateApp:
     def test_matches_reference_interior(self, module_rng):
         rgba = module_rng.random((32, 24, 4)).astype(np.float32)
         rgba[:, :, 3] = (module_rng.random((32, 24)) > 0.5).astype(np.float32)
-        app = make_interpolate(rgba, levels=3).apply_schedule("breadth_first")
-        result = app.realize([32, 24, 3])
+        app = make_interpolate(rgba, levels=3)
+        result = app.compile("breadth_first", [32, 24, 3]).run()
         reference = interpolate_ref(rgba, levels=3)
         margin = 8
         assert_images_close(result[margin:-margin, margin:-margin],
@@ -132,15 +133,15 @@ class TestInterpolateApp:
     def test_fills_holes(self, module_rng):
         rgba = np.zeros((32, 24, 4), dtype=np.float32)
         rgba[8, 8] = [1.0, 0.5, 0.25, 1.0]
-        app = make_interpolate(rgba, levels=3).apply_schedule("breadth_first")
-        result = app.realize([32, 24, 3])
+        app = make_interpolate(rgba, levels=3)
+        result = app.compile("breadth_first", [32, 24, 3]).run()
         # The lone valid pixel's color must leak into its (previously empty) neighbours.
         assert result[9, 8, 0] > 0.0
 
     def test_schedules_agree(self, module_rng):
         rgba = module_rng.random((24, 16, 4)).astype(np.float32)
-        naive = make_interpolate(rgba, levels=3).apply_schedule("breadth_first").realize([24, 16, 3])
-        tuned = make_interpolate(rgba, levels=3).apply_schedule("tuned").realize([24, 16, 3])
+        naive = make_interpolate(rgba, levels=3).compile("breadth_first", [24, 16, 3]).run()
+        tuned = make_interpolate(rgba, levels=3).compile("tuned", [24, 16, 3]).run()
         assert_images_close(naive, tuned)
 
 
@@ -148,8 +149,7 @@ class TestLocalLaplacianApp:
     def test_matches_reference_interior(self, module_rng):
         image = module_rng.random((48, 32)).astype(np.float32)
         app = make_local_laplacian(image, levels=3, intensity_levels=4)
-        app.apply_schedule("breadth_first")
-        result = app.realize()
+        result = app.compile("breadth_first").run()
         reference = local_laplacian_ref(image, levels=3, intensity_levels=4)
         margin = 12
         assert_images_close(result[margin:-margin, margin:-margin],
@@ -159,8 +159,7 @@ class TestLocalLaplacianApp:
         image = module_rng.random((32, 24)).astype(np.float32) * 0.8 + 0.1
         app = make_local_laplacian(image, levels=2, intensity_levels=4,
                                    alpha=0.0, beta=1.0)
-        app.apply_schedule("breadth_first")
-        result = app.realize()
+        result = app.compile("breadth_first").run()
         interior = (slice(8, -8), slice(8, -8))
         assert np.abs(result[interior] - image[interior]).mean() < 0.05
 

@@ -80,24 +80,23 @@ class TestEvaluator:
         evaluator = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU)
         genome = breadth_first_genome(env)
         genome.genes["blur_x"] = FunctionGene(("at", "blur_y", "not_a_dim"), [])
-        schedules = genome.to_schedules(env, "blur_y")
-        result = evaluator.evaluate_schedules(schedules)
+        result = evaluator.evaluate_schedules(genome.to_schedule(env, "blur_y"))
         assert not result.valid
 
     def test_valid_schedule_scores_finite(self, blur_setup):
         _, _, pipeline, env, _ = blur_setup
         evaluator = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU)
-        schedules = breadth_first_genome(env).to_schedules(env, "blur_y")
-        result = evaluator.evaluate_schedules(schedules)
+        schedule = breadth_first_genome(env).to_schedule(env, "blur_y")
+        result = evaluator.evaluate_schedules(schedule)
         assert result.valid and result.fitness > 0
 
     def test_static_and_dynamic_modes_agree_on_validity(self, blur_setup):
         _, _, pipeline, env, _ = blur_setup
-        schedules = breadth_first_genome(env).to_schedules(env, "blur_y")
+        schedule = breadth_first_genome(env).to_schedule(env, "blur_y")
         static = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU,
-                                    mode="static").evaluate_schedules(schedules)
+                                    mode="static").evaluate_schedules(schedule)
         dynamic = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU,
-                                     mode="dynamic").evaluate_schedules(schedules)
+                                     mode="dynamic").evaluate_schedules(schedule)
         assert static.valid and dynamic.valid
         assert static.fitness > 0 and dynamic.fitness > 0
 
@@ -115,7 +114,7 @@ class TestEvaluator:
 
         _, _, pipeline, _, _ = blur_setup
         monkeypatch.setattr(c_toolchain, "toolchain_available", lambda: True)
-        assert WallClockEvaluator(pipeline, [24, 16]).backend == "native"
+        assert WallClockEvaluator(pipeline, [24, 16]).target.backend == "native"
 
     def test_wall_clock_falls_back_to_compiled_without_toolchain(
             self, blur_setup, monkeypatch):
@@ -127,10 +126,10 @@ class TestEvaluator:
 
         _, _, pipeline, _, _ = blur_setup
         monkeypatch.setattr(c_toolchain, "toolchain_available", lambda: False)
-        assert WallClockEvaluator(pipeline, [24, 16]).backend == "compiled"
+        assert WallClockEvaluator(pipeline, [24, 16]).target.backend == "compiled"
         monkeypatch.setattr(c_toolchain, "toolchain_available", lambda: True)
-        explicit = WallClockEvaluator(pipeline, [24, 16], backend="compiled")
-        assert explicit.backend == "compiled"
+        explicit = WallClockEvaluator(pipeline, [24, 16], target="compiled")
+        assert explicit.target.backend == "compiled"
 
 
 class TestErrorMaskingRegression:
@@ -233,7 +232,7 @@ class TestAutotuner:
         result = tuner.run()
 
         breadth_first_fitness = evaluator.evaluate_schedules(
-            breadth_first_genome(env).to_schedules(env, "blur_y")).fitness
+            breadth_first_genome(env).to_schedule(env, "blur_y")).fitness
         assert result.best_fitness <= breadth_first_fitness
         assert len(result.history) == config.generations + 1
         # Convergence curve is monotonically non-increasing (elitism).
@@ -247,8 +246,7 @@ class TestAutotuner:
         evaluator = CostModelEvaluator(pipeline, [32, 24], profile=SMALL_CACHE_CPU)
         config = TunerConfig(population_size=6, generations=2, seed=11)
         result = Autotuner(pipeline, evaluator, config).run()
-        schedules = result.best_schedules(pipeline)
-        output = pipeline.realize([48, 32], schedules=schedules)
+        output = pipeline.compile([48, 32], schedule=result.best_schedule(pipeline)).run()
         assert_images_close(output, blur_ref(image))
 
     def test_counters_track_invalid_candidates(self, blur_setup):

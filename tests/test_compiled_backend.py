@@ -106,9 +106,9 @@ def _parity_cases():
 @pytest.mark.parametrize("maker, schedule", _parity_cases())
 def test_three_way_backend_parity(maker, schedule):
     app, sizes = maker()
-    reference = app.realize(sizes, schedule=schedule, target="interp")
-    via_numpy = app.realize(sizes, schedule=schedule, target="numpy")
-    via_compiled = app.realize(sizes, schedule=schedule, target="compiled")
+    reference = app.compile(schedule, sizes, target="interp").run()
+    via_numpy = app.compile(schedule, sizes, target="numpy").run()
+    via_compiled = app.compile(schedule, sizes, target="compiled").run()
     assert_images_identical(via_numpy, reference)
     assert_images_identical(via_compiled, reference)
 
@@ -116,19 +116,17 @@ def test_three_way_backend_parity(maker, schedule):
 def test_guarded_split_tail_parity():
     """GUARD_WITH_IF split tails take the compiled backend's scalar path;
     output must still match the interpreter exactly."""
-    def build():
-        rng = np.random.default_rng(2)
-        app = make_unsharp(rng.random((24, 18)).astype(np.float32), strength=1.5)
-        app.apply_schedule("breadth_first")
-        output = app.output
-        innermost = output.function.args[0]
-        output.split(innermost, f"{innermost}_o", f"{innermost}_i", 5,
-                     tail=TailStrategy.GUARD_WITH_IF)
-        return app
+    rng = np.random.default_rng(2)
+    app = make_unsharp(rng.random((24, 18)).astype(np.float32), strength=1.5)
+    output = app.output.function
+    innermost = output.args[0]
+    schedule = app.named_schedule("breadth_first").with_directives(
+        output.name, ("split", innermost, f"{innermost}_o", f"{innermost}_i", 5,
+                      TailStrategy.GUARD_WITH_IF.value))
 
-    reference = build().realize(target="interp")
-    output = build().realize(target="compiled")
-    assert_images_identical(output, reference)
+    reference = app.compile(schedule, target="interp").run()
+    via_compiled = app.compile(schedule, target="compiled").run()
+    assert_images_identical(via_compiled, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +147,10 @@ def test_parallel_schedules_are_deterministic(app_name):
         if "parallel_for" not in compiled.source():
             continue
         parallel_schedules.append(schedule)
-        first = compiled()
-        second = compiled()
-        serial = app.realize(sizes, schedule=schedule,
-                             target=Target("compiled", threads=1))
+        first = compiled.run()
+        second = compiled.run()
+        serial = app.compile(schedule, sizes,
+                             target=Target("compiled", threads=1)).run()
         assert first.tobytes() == second.tobytes(), \
             f"{app_name}/{schedule}: threads=4 runs differ"
         assert_images_identical(serial, first)
@@ -241,40 +239,17 @@ def test_explicit_listeners_warn_under_compiled():
         compiled.run(listeners=[Counters()])
 
 
-def test_legacy_backend_factory_without_target_kwarg():
-    """Factories registered under the pre-Target contract keep working."""
-    from repro.runtime import register_backend
-    from repro.runtime.backend import _BACKENDS
-
-    calls = []
-
-    def legacy_factory(lowered, listeners=()):
-        calls.append(lowered)
-        return Executor(lowered, listeners=listeners)
-
-    register_backend("legacy-test", legacy_factory)
-    try:
-        rng = np.random.default_rng(1)
-        app = make_blur(rng.random((12, 8)).astype(np.float32))
-        lowered = app.pipeline().lower(sizes=app.default_size)
-        executor = create_executor(lowered, target=Target("legacy-test", threads=2))
-        assert isinstance(executor, Executor)
-        assert calls == [lowered]
-    finally:
-        _BACKENDS.pop("legacy-test", None)
-
-
 def test_compiled_backend_drives_no_listeners():
     assert CompiledExecutor.drives_listeners is False
     assert Executor.drives_listeners is True
     rng = np.random.default_rng(1)
     app = make_blur(rng.random((12, 8)).astype(np.float32))
-    report = app.pipeline().realize_with_report(
-        app.default_size, schedule=app.named_schedule("breadth_first"),
-        target="compiled")
-    reference = app.realize(schedule="breadth_first", target="interp")
-    assert_images_identical(report.output, reference)
-    assert report.counters.arith_ops == 0  # opt-out: no events delivered
+    counters = Counters()
+    with pytest.warns(RuntimeWarning, match="does not drive instrumentation"):
+        output = app.compile("breadth_first", target="compiled").run(listeners=[counters])
+    reference = app.compile("breadth_first", target="interp").run()
+    assert_images_identical(output, reference)
+    assert counters.arith_ops == 0  # opt-out: no events delivered
 
 
 def _scatter_with_duplicates():
@@ -336,21 +311,21 @@ def test_chunk_bounds_cover_range_exactly():
 def test_parallel_for_executes_every_iteration_once():
     out = np.zeros(23, dtype=np.int64)
 
-    def body(lo, hi):
+    def body(bufs, ctx, rt, lo, hi):
         out[lo:hi] += np.arange(lo, hi)
 
-    ParallelRuntime(threads=4).parallel_for(body, 0, 23)
+    ParallelRuntime(threads=4).parallel_for(body, 0, 23, {}, {})
     assert np.array_equal(out, np.arange(23))
 
 
 def test_parallel_for_serial_fallbacks():
     calls = []
 
-    def body(lo, hi):
+    def body(bufs, ctx, rt, lo, hi):
         calls.append((lo, hi))
 
-    ParallelRuntime(threads=None).parallel_for(body, 3, 5)
-    ParallelRuntime(threads=1).parallel_for(body, 0, 4)
+    ParallelRuntime(threads=None).parallel_for(body, 3, 5, {}, {})
+    ParallelRuntime(threads=1).parallel_for(body, 0, 4, {}, {})
     assert calls == [(3, 8), (0, 4)]  # one inline call each, no chunking
 
 
@@ -360,19 +335,19 @@ def test_nested_parallel_for_runs_inline():
     out = np.zeros((8, 8), dtype=np.int64)
     rt = ParallelRuntime(threads=2)
 
-    def outer(lo, hi):
+    def outer(bufs, ctx, rt, lo, hi):
         for i in range(lo, hi):
-            def inner(ilo, ihi, i=i):
+            def inner(bufs, ctx, rt, ilo, ihi, i=i):
                 out[i, ilo:ihi] = 1
-            rt.parallel_for(inner, 0, 8)
+            rt.parallel_for(inner, 0, 8, {}, {})
 
-    rt.parallel_for(outer, 0, 8)
+    rt.parallel_for(outer, 0, 8, {}, {})
     assert out.all()
 
 
 def test_parallel_for_propagates_exceptions():
-    def body(lo, hi):
+    def body(bufs, ctx, rt, lo, hi):
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match="boom"):
-        ParallelRuntime(threads=2).parallel_for(body, 0, 8)
+        ParallelRuntime(threads=2).parallel_for(body, 0, 8, {}, {})

@@ -51,7 +51,7 @@ class TestBasicExecution:
         f = Func("exe_wrong")
         f[x, y] = buf[x, y]
         with pytest.raises(ValueError):
-            Pipeline(f).realize([12])
+            Pipeline(f).compile([12]).run()
 
 
 class TestCounters:
@@ -60,18 +60,20 @@ class TestCounters:
         x, y = Var("x"), Var("y")
         f = Func("cnt_f")
         f[x, y] = buf[x, y] * 2.0 + 1.0
-        small = Pipeline(f).realize_with_report([6, 4])
-        large = Pipeline(f).realize_with_report([12, 8])
-        assert large.counters.arith_ops > small.counters.arith_ops
-        assert large.counters.stores == 4 * small.counters.stores
+        small, large = Counters(), Counters()
+        Pipeline(f).compile([6, 4]).run(listeners=[small])
+        Pipeline(f).compile([12, 8]).run(listeners=[large])
+        assert large.arith_ops > small.arith_ops
+        assert large.stores == 4 * small.stores
 
     def test_loads_counted(self, tiny_image):
         buf = Buffer(tiny_image, name="cnt2_in")
         x, y = Var("x"), Var("y")
         f = Func("cnt2_f")
         f[x, y] = buf[x, y] + buf[x, y]
-        report = Pipeline(f).realize_with_report([12, 8])
-        assert report.counters.loads == 2 * 12 * 8
+        counters = Counters()
+        Pipeline(f).compile([12, 8]).run(listeners=[counters])
+        assert counters.loads == 2 * 12 * 8
 
     def test_peak_allocation_tracks_intermediates(self, tiny_image):
         buf = Buffer(tiny_image, name="cnt3_in")
@@ -80,10 +82,11 @@ class TestCounters:
         producer[x, y] = buf[x, y] * 2.0
         consumer[x, y] = producer[x, y] + 1.0
         producer.compute_root()
-        report = Pipeline(consumer).realize_with_report([12, 8])
+        counters = Counters()
+        Pipeline(consumer).compile([12, 8]).run(listeners=[counters])
         # Producer (float32, 12*8) plus nothing else internal.
-        assert report.counters.peak_allocated_bytes >= 12 * 8 * 4
-        assert report.counters.allocations >= 1
+        assert counters.peak_allocated_bytes >= 12 * 8 * 4
+        assert counters.allocations >= 1
 
     def test_custom_listener_receives_events(self, tiny_image):
         events = []
@@ -99,7 +102,7 @@ class TestCounters:
         x, y = Var("x"), Var("y")
         f = Func("cnt4_f")
         f[x, y] = buf[x, y]
-        Pipeline(f).realize([12, 8], listeners=[Recorder()])
+        Pipeline(f).compile([12, 8]).run(listeners=[Recorder()])
         assert ("produce", "cnt4_f") in events
         assert any(e[0] == "loop" and e[1] == "cnt4_f.y" for e in events)
 

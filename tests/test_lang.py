@@ -110,8 +110,70 @@ class TestBuffers:
         f[x, y] = buf[x, y] * gain
         from repro.pipeline import Pipeline
 
-        result = Pipeline(f).realize([12, 8], params={"gain": 3.0})
+        result = Pipeline(f).compile([12, 8]).run(params={"gain": 3.0})
         assert_images_close(result, tiny_image * 3.0)
+
+
+_PARAM_BACKENDS = ["interp", "compiled", pytest.param("native", marks=pytest.mark.native)]
+
+
+class TestParamValidation:
+    """``params=`` is checked once, against the algorithm's declared Params,
+    so every backend computes with the same value or rejects it the same way."""
+
+    @staticmethod
+    def _func():
+        x = Var("x")
+        k = Param(Int(32), name="k")
+        f = Func("param_check")
+        f[x] = x * k
+        return f
+
+    def _compiled(self, target):
+        return self._func().compile([4], target=target)
+
+    @pytest.mark.parametrize("target", _PARAM_BACKENDS)
+    def test_integral_values_bind_exactly(self, target):
+        compiled = self._compiled(target)
+        for value, factor in ((3, 3), (2.0, 2), (np.int64(-1), -1)):
+            result = compiled.run(params={"k": value})
+            assert result.dtype == np.int32
+            assert np.array_equal(result, np.arange(4) * factor)
+
+    @pytest.mark.parametrize("target", _PARAM_BACKENDS)
+    def test_inexact_value_is_a_type_error(self, target):
+        with pytest.raises(TypeError, match="param 'k'"):
+            self._compiled(target).run(params={"k": 2.7})
+
+    @pytest.mark.parametrize("target", _PARAM_BACKENDS)
+    def test_out_of_range_value_is_a_value_error(self, target):
+        with pytest.raises(ValueError, match="param 'k'"):
+            self._compiled(target).run(params={"k": 2 ** 40})
+
+    @pytest.mark.parametrize("target", _PARAM_BACKENDS)
+    def test_unknown_name_lists_declared_params(self, target):
+        with pytest.raises(ValueError, match=r"unknown param 'gain'.*\['k'\]"):
+            self._compiled(target).run(params={"gain": 1.0})
+
+    def test_restored_program_checks_params(self, tmp_path):
+        """The declared Params travel in the persistent-cache payload, so a
+        warm restore (no lowering, no walk of the algorithm) checks them too."""
+        from repro.pipeline import Pipeline
+
+        Pipeline(self._func(), disk_cache=tmp_path).compile([4], target="compiled")
+        warm = Pipeline(self._func(), disk_cache=tmp_path)
+        compiled = warm.compile([4], target="compiled")
+        assert warm.disk_cache_info().lowerings == 0
+        assert np.array_equal(compiled.run(params={"k": 2}), np.arange(4) * 2)
+        with pytest.raises(TypeError, match="param 'k'"):
+            compiled.run(params={"k": 2.5})
+
+    def test_reduction_variables_are_not_params(self, uint8_image):
+        from repro.apps import make_histogram_equalize
+
+        compiled = make_histogram_equalize(uint8_image).compile()
+        with pytest.raises(ValueError, match="declares no params"):
+            compiled.run(params={"k": 1})
 
 
 class TestReductions:

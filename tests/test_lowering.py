@@ -161,10 +161,10 @@ class TestLoweringOptions:
         producer, consumer = two_stage(tiny_image)
         producer.store_root().compute_at(consumer, Var("y"))
         consumer.vectorize(Var("x"), 4)
-        baseline = Pipeline(consumer).realize([12, 8])
+        baseline = Pipeline(consumer).compile([12, 8]).run()
         options = LoweringOptions(sliding_window=False, storage_folding=False,
                                   vectorize=False, unroll=False)
-        result = Pipeline(consumer).realize([12, 8], options=options)
+        result = Pipeline(consumer).compile([12, 8], options=options).run()
         assert np.allclose(baseline, result)
 
 

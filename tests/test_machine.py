@@ -15,6 +15,7 @@ from repro.machine import (
 from repro.machine.cache import CacheLevel
 from repro.lang import Buffer, Func, Var
 from repro.pipeline import Pipeline
+from repro.runtime.counters import Counters
 
 
 class TestCacheLevel:
@@ -67,8 +68,9 @@ class TestCacheSimulator:
 
 class TestCostModel:
     def _blur_cost(self, image, schedule, profile=SMALL_CACHE_CPU):
-        app = make_blur(image).apply_schedule(schedule)
-        return estimate_cost(app.pipeline(), app.default_size, profile=profile)
+        app = make_blur(image)
+        return estimate_cost(app.pipeline(), app.default_size,
+                             schedule=app.named_schedule(schedule), profile=profile)
 
     @pytest.fixture(scope="class")
     def image(self):
@@ -82,9 +84,8 @@ class TestCostModel:
     def test_parallelism_reduces_cycles(self, image):
         app = make_blur(image)
         serial = estimate_cost(app.pipeline(), app.default_size, profile=XEON_W3520)
-        app_parallel = make_blur(image).apply_schedule("tiled")
-        parallel = estimate_cost(app_parallel.pipeline(), app_parallel.default_size,
-                                 profile=XEON_W3520)
+        parallel = estimate_cost(app.pipeline(), app.default_size,
+                                 schedule=app.named_schedule("tiled"), profile=XEON_W3520)
         assert parallel.cycles < serial.cycles
 
     def test_report_fields(self, image):
@@ -101,8 +102,8 @@ class TestCostModel:
         assert gpu_cost.cycles < serial_on_gpu.cycles
 
     def test_cost_model_listener_composes_with_counters(self, image):
-        app = make_blur(image).apply_schedule("tiled")
-        model = CostModel(SMALL_CACHE_CPU)
-        report = app.pipeline().realize_with_report(app.default_size, listeners=[model])
+        app = make_blur(image)
+        model, counters = CostModel(SMALL_CACHE_CPU), Counters()
+        app.compile("tiled").run(listeners=[model, counters])
         assert model.report().cycles > 0
-        assert report.counters.arith_ops > 0
+        assert counters.arith_ops > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import make_blur, make_histogram_equalize
+from repro.apps import BLUR_SCHEDULES, make_blur, make_histogram_equalize
 from repro.metrics import analyze_pipeline, measure_tradeoffs
 from repro.lang import Buffer, Func, Var
 
@@ -42,30 +42,31 @@ class TestPipelineStats:
 
 class TestTradeoffMetrics:
     def test_breadth_first_has_high_span_and_reuse_distance(self, image):
-        app = make_blur(image).apply_schedule("breadth_first")
-        report = measure_tradeoffs(app.pipeline(), app.default_size)
+        app = make_blur(image)
+        report = measure_tradeoffs(app.pipeline(), app.default_size,
+                                   schedule=BLUR_SCHEDULES["breadth_first"])
         pixels = image.shape[0] * image.shape[1]
         assert report.span > pixels / 4          # nearly all pixels independent
         assert report.max_reuse_distance > pixels  # values written long before read
 
     def test_full_fusion_amplifies_work(self, image):
         baseline = measure_tradeoffs(
-            make_blur(image).apply_schedule("breadth_first").pipeline(),
-            [image.shape[0], image.shape[1]])
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["breadth_first"])
         fused = measure_tradeoffs(
-            make_blur(image).apply_schedule("full_fusion").pipeline(),
-            [image.shape[0], image.shape[1]],
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["full_fusion"],
             baseline_ops=baseline.total_ops)
         assert fused.work_amplification > 1.3
         assert fused.max_reuse_distance == 0     # nothing stored and re-read
 
     def test_sliding_window_limits_span_but_not_work(self, image):
         baseline = measure_tradeoffs(
-            make_blur(image).apply_schedule("breadth_first").pipeline(),
-            [image.shape[0], image.shape[1]])
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["breadth_first"])
         sliding = measure_tradeoffs(
-            make_blur(image).apply_schedule("sliding_window").pipeline(),
-            [image.shape[0], image.shape[1]],
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["sliding_window"],
             baseline_ops=baseline.total_ops)
         assert sliding.work_amplification < 1.1
         assert sliding.span < baseline.span / 8
@@ -73,11 +74,11 @@ class TestTradeoffMetrics:
 
     def test_tiled_balances_all_three(self, image):
         baseline = measure_tradeoffs(
-            make_blur(image).apply_schedule("breadth_first").pipeline(),
-            [image.shape[0], image.shape[1]])
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["breadth_first"])
         tiled = measure_tradeoffs(
-            make_blur(image).apply_schedule("tiled_novec").pipeline(),
-            [image.shape[0], image.shape[1]],
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["tiled_novec"],
             baseline_ops=baseline.total_ops)
         assert 1.0 <= tiled.work_amplification < 1.5
         assert tiled.max_reuse_distance < baseline.max_reuse_distance
@@ -85,11 +86,11 @@ class TestTradeoffMetrics:
 
     def test_footprint_smaller_with_folding(self, image):
         root = measure_tradeoffs(
-            make_blur(image).apply_schedule("breadth_first").pipeline(),
-            [image.shape[0], image.shape[1]])
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["breadth_first"])
         sliding = measure_tradeoffs(
-            make_blur(image).apply_schedule("sliding_window").pipeline(),
-            [image.shape[0], image.shape[1]])
+            make_blur(image).pipeline(), [image.shape[0], image.shape[1]],
+            schedule=BLUR_SCHEDULES["sliding_window"])
         assert sliding.peak_footprint_bytes < root.peak_footprint_bytes
 
 
@@ -102,16 +103,19 @@ class TestStaticTotalOps:
     def test_matches_interpreted_count(self, image, strategy):
         from repro.metrics import static_total_ops
 
-        app = make_blur(image).apply_schedule(strategy)
-        dynamic = measure_tradeoffs(app.pipeline(), app.default_size)
-        assert static_total_ops(app.pipeline(), app.default_size) == dynamic.total_ops
+        app, schedule = make_blur(image), BLUR_SCHEDULES[strategy]
+        dynamic = measure_tradeoffs(app.pipeline(), app.default_size, schedule=schedule)
+        assert static_total_ops(app.pipeline(), app.default_size,
+                                schedule=schedule) == dynamic.total_ops
 
     def test_work_amplification_from_static_counts(self, image):
         from repro.metrics import static_total_ops
 
         size = [image.shape[0], image.shape[1]]
         baseline = static_total_ops(
-            make_blur(image).apply_schedule("breadth_first").pipeline(), size)
+            make_blur(image).pipeline(), size,
+            schedule=BLUR_SCHEDULES["breadth_first"])
         fused = static_total_ops(
-            make_blur(image).apply_schedule("full_fusion").pipeline(), size)
+            make_blur(image).pipeline(), size,
+            schedule=BLUR_SCHEDULES["full_fusion"])
         assert fused / baseline > 1.3

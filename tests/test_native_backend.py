@@ -53,8 +53,8 @@ pytestmark = []  # per-test marks below; module stays importable everywhere
 @pytest.mark.parametrize("maker, schedule", _parity_cases())
 def test_native_parity_with_interpreter(maker, schedule):
     app, sizes = maker()
-    reference = app.realize(sizes, schedule=schedule, target="interp")
-    via_native = app.realize(sizes, schedule=schedule, target=Target("native"))
+    reference = app.compile(schedule, sizes, target="interp").run()
+    via_native = app.compile(schedule, sizes, target=Target("native")).run()
     assert_images_identical(via_native, reference)
 
 
@@ -67,10 +67,10 @@ def test_native_parallel_schedules_are_deterministic(app_name):
     for schedule in sorted(app.schedules):
         compiled = app.compile(schedule=schedule, sizes=sizes,
                                target=Target("native", threads=4))
-        first = compiled()
-        second = compiled()
-        serial = app.realize(sizes, schedule=schedule,
-                             target=Target("native", threads=1))
+        first = compiled.run()
+        second = compiled.run()
+        serial = app.compile(schedule, sizes,
+                             target=Target("native", threads=1)).run()
         assert first.tobytes() == second.tobytes(), \
             f"{app_name}/{schedule}: threads=4 runs differ"
         assert_images_identical(serial, first)
@@ -107,15 +107,15 @@ def test_warm_start_zero_lowerings_zero_compiles(tmp_path):
     app = _blur_app()
     cold = Pipeline(app.output, disk_cache=tmp_path)
     sched = app.named_schedule("tuned")
-    reference = cold.realize([32, 20], schedule=sched, target="interp")
-    out = cold.realize([32, 20], schedule=sched, target=Target("native"))
+    reference = cold.compile([32, 20], schedule=sched, target="interp").run()
+    out = cold.compile([32, 20], schedule=sched, target=Target("native")).run()
     assert_images_identical(out, reference)
     assert cold.disk_cache_info().stores >= 2  # JSON entry + .so blob
     assert any(p.suffix == ".so" for p in tmp_path.iterdir())
 
     before = c_toolchain.compile_count
     warm = Pipeline(_blur_app().output, disk_cache=tmp_path)
-    out2 = warm.realize([32, 20], schedule=sched, target=Target("native"))
+    out2 = warm.compile([32, 20], schedule=sched, target=Target("native")).run()
     assert_images_identical(out2, reference)
     assert warm._lowerings == 0, "warm start must not lower"
     assert c_toolchain.compile_count == before, "warm start must not compile"
@@ -127,7 +127,7 @@ def test_evicted_blob_degrades_to_source_recompile(tmp_path):
     app = _blur_app()
     sched = app.named_schedule("tuned")
     cold = Pipeline(app.output, disk_cache=tmp_path)
-    reference = cold.realize([32, 20], schedule=sched, target=Target("native"))
+    reference = cold.compile([32, 20], schedule=sched, target=Target("native")).run()
     for blob in tmp_path.glob("*.so"):
         blob.unlink()
     # Also clear the per-process scratch dir: in a real warm start the new
@@ -142,7 +142,7 @@ def test_evicted_blob_degrades_to_source_recompile(tmp_path):
 
     before = c_toolchain.compile_count
     warm = Pipeline(_blur_app().output, disk_cache=tmp_path)
-    out = warm.realize([32, 20], schedule=sched, target=Target("native"))
+    out = warm.compile([32, 20], schedule=sched, target=Target("native")).run()
     assert_images_identical(out, reference)
     assert warm._lowerings == 0, "stored C source must rebuild without lowering"
     assert c_toolchain.compile_count == before + 1
@@ -166,16 +166,16 @@ def test_dropping_a_restored_pipeline_leaves_its_sibling_callable(tmp_path):
         curve[x, y] = exp(source[x, y]) + pow_(source[x, y], 2.5)
         return Pipeline(curve, disk_cache=tmp_path)
 
-    reference = build().realize([16, 12], target="interp")
+    reference = build().compile([16, 12], target="interp").run()
     build().compile([16, 12], target=Target("native"))  # cold: fills the cache
     first = build().compile([16, 12], target=Target("native"))
     second = build().compile([16, 12], target=Target("native"))
     assert first is not second
     assert first.lowered._native_program.callback_slots
-    assert_images_identical(second(), reference)
+    assert_images_identical(second.run(), reference)
     del second
     gc.collect()
-    assert_images_identical(first(), reference)
+    assert_images_identical(first.run(), reference)
 
 
 @pytest.mark.native

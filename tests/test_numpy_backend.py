@@ -27,7 +27,7 @@ from repro.core.split import TailStrategy
 from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
-from repro.runtime import backend_names, get_backend, resolve_backend_name
+from repro.runtime import backend_names, get_backend
 from repro.runtime.executor import Executor
 from repro.types import Float, Int
 
@@ -45,24 +45,14 @@ def _split_guarded(app):
     """A third schedule for apps that only name two: breadth-first, plus the
     output's innermost dimension split with a GUARD_WITH_IF tail (exercising
     the backend's masked sub-batch path)."""
-    app.apply_schedule("breadth_first")
-    output = app.output
-    innermost = output.function.args[0]
-    output.split(innermost, f"{innermost}_o", f"{innermost}_i", 5,
-                 tail=TailStrategy.GUARD_WITH_IF)
-    return app
-
-
-def _apply(app, schedule):
-    if schedule == "_split_guarded":
-        return _split_guarded(app)
-    return app.apply_schedule(schedule)
+    output = app.output.function
+    innermost = output.args[0]
+    return app.named_schedule("breadth_first").with_directives(
+        output.name, ("split", innermost, f"{innermost}_o", f"{innermost}_i", 5,
+                      TailStrategy.GUARD_WITH_IF.value))
 
 
 def _parity_cases():
-    # Each maker seeds its own generator so repeated calls build apps over
-    # *identical* inputs (the parity test constructs the app twice: named
-    # schedules mutate the Funcs they touch).
     def blur():
         rng = np.random.default_rng(1)
         return make_blur(rng.random((40, 28)).astype(np.float32)), None
@@ -113,11 +103,10 @@ def _parity_cases():
 @pytest.mark.parametrize("maker, schedule", _parity_cases())
 def test_backend_parity(maker, schedule):
     app, sizes = maker()
-    _apply(app, schedule)
-    reference = app.realize(sizes, backend="interp")
-    app2, _ = maker()  # fresh Funcs: schedules mutate them
-    _apply(app2, schedule)
-    output = app2.realize(sizes, backend="numpy")
+    if schedule == "_split_guarded":
+        schedule = _split_guarded(app)
+    reference = app.compile(schedule, sizes, target="interp").run()
+    output = app.compile(schedule, sizes, target="numpy").run()
     assert_images_identical(output, reference)
 
 
@@ -288,10 +277,9 @@ def test_histogram_matches_interpreter_exactly(rng):
     """Histogram equalization is reduction-heavy: most loops fall back to the
     scalar path, and the outputs must still be bit-identical."""
     image = (rng.random((16, 10)) * 256).astype(np.uint8)
-    reference = make_histogram_equalize(image).apply_schedule("breadth_first") \
-        .realize(backend="interp")
-    output = make_histogram_equalize(image).apply_schedule("breadth_first") \
-        .realize(backend="numpy")
+    app = make_histogram_equalize(image)
+    reference = app.compile("breadth_first", target="interp").run()
+    output = app.compile("breadth_first", target="numpy").run()
     assert_images_identical(output, reference)
 
 
@@ -362,20 +350,3 @@ def test_backend_lookup():
 def test_unknown_backend_raises():
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("cuda")
-
-
-def test_backend_resolution_order(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend_name(None) == "interp"
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    assert resolve_backend_name(None) == "numpy"
-    assert resolve_backend_name("interp") == "interp"
-
-
-def test_realize_respects_backend_env(rng, monkeypatch):
-    image = rng.random((12, 8)).astype(np.float32)
-    app = make_blur(image).apply_schedule("breadth_first")
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    via_env = app.realize()
-    explicit = app.realize(backend="interp")
-    assert_images_identical(via_env, explicit)

@@ -54,11 +54,11 @@ def _record_coverage(runtime: ParallelRuntime, mn: int, extent: int):
     covered = []
     lock = threading.Lock()
 
-    def body(lo, hi):
+    def body(bufs, ctx, rt, lo, hi):
         with lock:
             covered.append((lo, hi))
 
-    runtime.parallel_for(body, mn, extent)
+    runtime.parallel_for(body, mn, extent, {}, {})
     return sorted(covered)
 
 
@@ -88,25 +88,25 @@ class TestParallelFor:
         cells = []
         lock = threading.Lock()
 
-        def outer(lo, hi):
+        def outer(bufs, ctx, rt, lo, hi):
             for i in range(lo, hi):
-                def inner(jlo, jhi, i=i):
+                def inner(bufs, ctx, rt, jlo, jhi, i=i):
                     with lock:
                         cells.extend((i, j) for j in range(jlo, jhi))
-                runtime.parallel_for(inner, 0, 5)
+                runtime.parallel_for(inner, 0, 5, {}, {})
 
-        runtime.parallel_for(outer, 0, 8)
+        runtime.parallel_for(outer, 0, 8, {}, {})
         assert sorted(cells) == [(i, j) for i in range(8) for j in range(5)]
 
     def test_worker_exception_propagates(self):
         runtime = ParallelRuntime(4)
 
-        def body(lo, hi):
+        def body(bufs, ctx, rt, lo, hi):
             if lo >= 8:
                 raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
-            runtime.parallel_for(body, 0, 16)
+            runtime.parallel_for(body, 0, 16, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,9 @@ def _realize_all_threads(output, sizes, schedule):
     pipeline = Pipeline(output)
     results = {}
     for threads in (1, 2, 4):
-        results[threads] = pipeline.realize(
-            sizes, schedule=schedule, target=Target("compiled", threads=threads))
-    reference = pipeline.realize(sizes, schedule=schedule, target="interp")
+        results[threads] = pipeline.compile(
+            sizes, schedule=schedule, target=Target("compiled", threads=threads)).run()
+    reference = pipeline.compile(sizes, schedule=schedule, target="interp").run()
     return reference, results
 
 
@@ -170,6 +170,16 @@ def test_parallel_producer_consumer_chain_bit_identical(sizes):
     schedule = (Schedule().func("g").parallel("y")
                 .func("f").compute_at("g", "y").store_at("g", "y").schedule)
     reference, results = _realize_all_threads(_two_stage_pipeline(), sizes, schedule)
+    for threads, out in results.items():
+        assert out.tobytes() == reference.tobytes(), f"threads={threads}"
+
+
+def test_serial_producer_feeding_parallel_consumer():
+    """A compute_root stage written serially must be visible, complete, to
+    every chunk of the parallel consumer loop."""
+    schedule = (Schedule().func("f").compute_root()
+                .func("g").split("y", "yo", "yi", 4).parallel("yo").schedule)
+    reference, results = _realize_all_threads(_two_stage_pipeline(), [19, 11], schedule)
     for threads, out in results.items():
         assert out.tobytes() == reference.tobytes(), f"threads={threads}"
 

@@ -174,5 +174,5 @@ class TestScheduleInvariance:
         elif producer_choice == "sliding":
             blur_x.store_root().compute_at(blur_y, yo)
 
-        result = app.realize()
+        result = app.compile().run()
         assert np.allclose(result, reference, atol=1e-4)

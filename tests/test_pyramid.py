@@ -79,7 +79,7 @@ class TestReferenceParity:
     @pytest.mark.parametrize("target", PORTABLE_TARGETS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_bit_identical(self, app, reference, schedule, target):
-        out = app.realize(schedule=schedule, target=target)
+        out = app.compile(schedule, target=target).run()
         assert out.dtype == np.float32
         assert out.shape == (WIDTH, HEIGHT)
         assert_images_identical(out, reference)
@@ -87,7 +87,7 @@ class TestReferenceParity:
     @pytest.mark.parametrize("target", NATIVE_TARGETS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_bit_identical_native(self, app, reference, schedule, target):
-        out = app.realize(schedule=schedule, target=target)
+        out = app.compile(schedule, target=target).run()
         assert_images_identical(out, reference)
 
 
@@ -96,12 +96,12 @@ class TestResamplingSemantics:
         # Two-tap weights (1 - f) + f sum to one, and the clamp never reads
         # outside the level, so a constant image survives the whole chain.
         constant = np.full((18, 15), 0.625, dtype=np.float32)
-        out = make_pyramid(constant, levels=LEVELS).realize(target="interp")
+        out = make_pyramid(constant, levels=LEVELS).compile(target="interp").run()
         assert np.array_equal(out, constant)
 
     def test_different_levels_change_the_result(self, image):
-        one = make_pyramid(image, levels=1).realize(target="interp")
-        two = make_pyramid(image, levels=2).realize(target="interp")
+        one = make_pyramid(image, levels=1).compile(target="interp").run()
+        two = make_pyramid(image, levels=2).compile(target="interp").run()
         assert one.shape == two.shape == image.shape
         assert not np.array_equal(one, two)
         assert_images_identical(one, pyramid_ref(image, levels=1))

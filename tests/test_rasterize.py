@@ -76,32 +76,32 @@ class TestReferenceParity:
     @pytest.mark.parametrize("target", PORTABLE_TARGETS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_bit_identical(self, app, reference, schedule, target):
-        out = app.realize(schedule=schedule, target=target)
+        out = app.compile(schedule, target=target).run()
         assert out.dtype == np.float32
         assert_images_identical(out, reference)
 
     @pytest.mark.parametrize("target", NATIVE_TARGETS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_bit_identical_native(self, app, reference, schedule, target):
-        out = app.realize(schedule=schedule, target=target)
+        out = app.compile(schedule, target=target).run()
         assert_images_identical(out, reference)
 
 
 class TestBlendSemantics:
     def test_primitive_order_is_observable(self, prims):
-        forward = make_rasterize(WIDTH, HEIGHT, prims).realize(target="interp")
-        reversed_ = make_rasterize(WIDTH, HEIGHT, prims[::-1]).realize(
-            target="interp")
+        forward = make_rasterize(WIDTH, HEIGHT, prims).compile(target="interp").run()
+        reversed_ = make_rasterize(WIDTH, HEIGHT, prims[::-1]).compile(
+            target="interp").run()
         assert not np.array_equal(forward, reversed_)
 
     def test_opaque_primitive_overwrites(self):
         prim = np.array([[0.0, 0.0, 64.0, 64.0, 0.25, 1.0]], dtype=np.float32)
-        out = make_rasterize(8, 8, prim).realize(target="interp")
+        out = make_rasterize(8, 8, prim).compile(target="interp").run()
         assert np.all(out == np.float32(0.25))
 
     def test_zero_alpha_leaves_background(self):
         prim = np.array([[0.0, 0.0, 64.0, 64.0, 0.9, 0.0]], dtype=np.float32)
-        out = make_rasterize(8, 8, prim).realize(target="interp")
+        out = make_rasterize(8, 8, prim).compile(target="interp").run()
         assert_images_identical(out, rasterize_ref(8, 8, prim))
         xi = np.arange(8)[:, None]
         yi = np.arange(8)[None, :]
@@ -112,7 +112,7 @@ class TestBlendSemantics:
     def test_fractional_coverage_is_partial(self):
         # A half-pixel-wide box blends at half strength on its column.
         prim = np.array([[2.0, 0.0, 2.5, 64.0, 1.0, 1.0]], dtype=np.float32)
-        out = make_rasterize(8, 8, prim).realize(target="interp")
+        out = make_rasterize(8, 8, prim).compile(target="interp").run()
         ref = rasterize_ref(8, 8, prim)
         assert_images_identical(out, ref)
         xi = np.arange(8)[:, None]

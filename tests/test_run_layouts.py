@@ -116,7 +116,7 @@ def test_flat_fortran_matches_a_whole_array_transpose(shape, dtype, layout):
 def test_every_input_layout_is_bit_identical(app_name, backend):
     app, sizes, name, image = APPS[app_name]()
     # Today's output: the interpreter over the app's own bound Buffer.
-    reference = app.realize(sizes, schedule="tuned", target="interp")
+    reference = app.compile("tuned", sizes, target="interp").run()
     compiled = _compile(app, sizes, backend)
     for layout, make in LAYOUTS.items():
         array = make(image)

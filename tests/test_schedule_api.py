@@ -3,7 +3,7 @@
 Covers the compile-once redesign: Schedule as an immutable serializable
 value, Target as a validated structured descriptor, the bounded compilation
 cache (including the zero-relowering guarantee), non-destructive schedule
-application, and the apply_schedule double-application regression.
+application, and scheduling Funcs directly.
 """
 
 import json
@@ -16,7 +16,9 @@ from repro import CompiledPipeline, Pipeline, Schedule, Target, as_schedule
 from repro.apps import BLUR_SCHEDULES, make_blur
 from repro.core.pipeline_schedule import ScheduleBuilder
 from repro.core.schedule import ScheduleError
-from repro.runtime.backend import BACKEND_ENV_VAR, backend_names
+from repro.runtime.backend import backend_names
+
+from conftest import schedule_funcs
 
 
 @pytest.fixture()
@@ -87,7 +89,7 @@ class TestScheduleValue:
             as_schedule(Schedule().func("blur_x").compute_root())
 
     def test_from_funcs_capture(self, blur_image):
-        app = make_blur(blur_image).apply_schedule("tuned")
+        app = schedule_funcs(make_blur(blur_image), "tuned")
         captured = Schedule.from_funcs(app.funcs)
         # Replaying the capture on the pipeline graph reproduces the exact
         # per-function schedules (splits, order, markings, call schedule).
@@ -110,15 +112,11 @@ class TestScheduleValue:
 
 class TestTarget:
     def test_resolve_forms(self):
-        assert Target.resolve(None).backend in backend_names()
+        assert Target.resolve(None).backend == "interp"
         assert Target.resolve("numpy").backend == "numpy"
         t = Target(backend="interp", vector_width=8, threads=16)
         assert Target.resolve(t) is t
         assert Target.resolve(t.to_dict()) == t
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert Target.resolve(None).backend == "numpy"
 
     def test_unknown_backend_fails_early_with_names(self):
         with pytest.raises(ValueError) as excinfo:
@@ -126,12 +124,6 @@ class TestTarget:
         message = str(excinfo.value)
         for name in backend_names():
             assert name in message
-
-    def test_bad_env_var_fails_early(self, monkeypatch, blur_image):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "not_a_backend")
-        app = make_blur(blur_image)
-        with pytest.raises(ValueError, match="not_a_backend"):
-            app.realize()
 
     def test_machine_profile_overrides(self):
         t = Target(profile="small_cache_cpu", vector_width=8, threads=2)
@@ -148,6 +140,11 @@ class TestTarget:
         assert Target.from_dict(t.to_dict()) == t
         assert t.key() == Target.from_dict(t.to_dict()).key()
 
+    def test_stored_parallel_key_still_reads(self):
+        """Targets serialized with the retired ``parallel`` field load."""
+        stored = {"backend": "compiled", "threads": 2, "parallel": "process"}
+        assert Target.from_dict(stored) == Target("compiled", threads=2)
+
 
 # ---------------------------------------------------------------------------
 # CompiledPipeline + compilation cache
@@ -155,7 +152,7 @@ class TestTarget:
 
 class TestCompileCache:
     def test_second_realize_skips_lowering(self, blur_image, monkeypatch):
-        app = make_blur(blur_image).apply_schedule("tuned")
+        app = schedule_funcs(make_blur(blur_image), "tuned")
         pipe = app.pipeline()
         calls = {"n": 0}
         real_lower = pipeline_module.lower
@@ -165,10 +162,10 @@ class TestCompileCache:
             return real_lower(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "lower", counting_lower)
-        first = pipe.realize(app.default_size)
+        first = pipe.compile(app.default_size).run()
         assert calls["n"] == 1
-        second = pipe.realize(app.default_size)
-        assert calls["n"] == 1, "second realize under an unchanged key must not lower"
+        second = pipe.compile(app.default_size).run()
+        assert calls["n"] == 1, "second compile under an unchanged key must not lower"
         assert np.array_equal(first, second)
         info = pipe.cache_info()
         assert info.hits == 1 and info.misses == 1 and info.currsize == 1
@@ -194,9 +191,9 @@ class TestCompileCache:
         f = Func("stale_probe")
         f[x] = 1.0
         pipe = Pipeline(f)
-        assert np.array_equal(pipe.realize([4]), np.ones(4, dtype=np.float32))
+        assert np.array_equal(pipe.compile([4]).run(), np.ones(4, dtype=np.float32))
         f[x] = f[x] + 1.0  # algorithm changed; the schedule did not
-        assert np.array_equal(pipe.realize([4]), np.full(4, 2.0, dtype=np.float32))
+        assert np.array_equal(pipe.compile([4]).run(), np.full(4, 2.0, dtype=np.float32))
         assert pipe.cache_info().misses == 2
 
     def test_rebinding_a_differently_shaped_image_is_never_stale(self):
@@ -212,9 +209,9 @@ class TestCompileCache:
         big = np.arange(16 * 12, dtype=np.float32).reshape(16, 12)
         img.set(Buffer(np.asfortranarray(small), name="img_in"))
         pipe = Pipeline(f)
-        out_small = pipe.realize([4, 4])
+        out_small = pipe.compile([4, 4]).run()
         img.set(Buffer(np.asfortranarray(big), name="img_in"))
-        out_big = pipe.realize([4, 4])
+        out_big = pipe.compile([4, 4]).run()
         assert np.array_equal(out_big, big[:4, :4] * 2.0)
         assert pipe.cache_info().misses == 2
         assert np.array_equal(out_small, small[:4, :4] * 2.0)
@@ -231,17 +228,18 @@ class TestCompileCache:
         f[x, y] = img[x, y] + 1.0
         img.set(Buffer(np.zeros((8, 6), dtype=np.float32, order="F"), name="img_held"))
         compiled = Pipeline(f).compile([4, 4])
-        compiled()
+        compiled.run()
         img.set(Buffer(np.zeros((16, 12), dtype=np.float32, order="F"), name="img_held"))
         with pytest.raises(ValueError, match="compiled for shape"):
-            compiled()
+            compiled.run()
 
     def test_in_place_rescheduling_is_never_stale(self, blur_image):
         """Mutating Funcs between realizations changes the captured digest."""
         app = make_blur(blur_image)
         pipe = app.pipeline()
-        naive = app.apply_schedule("breadth_first").realize()
-        tuned = app.apply_schedule("tuned").realize()
+        naive = app.compile().run()
+        schedule_funcs(app, "tuned")
+        tuned = app.compile().run()
         assert pipe.cache_info().misses == 2
         np.testing.assert_array_equal(naive, tuned)
 
@@ -264,12 +262,13 @@ class TestCompileCache:
         app = make_blur(blur_image)
         compiled = app.compile(schedule="tuned", target="numpy")
         assert isinstance(compiled, CompiledPipeline)
-        before = compiled()
-        app.apply_schedule("full_fusion")  # mutate the Funcs afterwards
-        after = compiled()
+        before = compiled.run()
+        schedule_funcs(app, "full_fusion")  # mutate the Funcs afterwards
+        after = compiled.run()
         assert np.array_equal(before, after)
         assert compiled.schedule == as_schedule(BLUR_SCHEDULES["tuned"])
-        reference = make_blur(blur_image).apply_schedule("tuned").realize(backend="numpy")
+        reference = schedule_funcs(make_blur(blur_image), "tuned").compile(
+            target="numpy").run()
         assert np.array_equal(before, reference)
 
     def test_compile_requires_sizes(self, blur_image):
@@ -285,7 +284,7 @@ class TestCompileCache:
 class TestNonDestructiveSweep:
     def test_all_blur_schedules_from_one_unmutated_graph(self, blur_image):
         """Evaluate every named blur schedule against a single algorithm graph,
-        through JSON, and compare bit-for-bit with the mutation-based path."""
+        through JSON, and compare bit-for-bit with scheduling Funcs directly."""
         app = make_blur(blur_image)
         pipe = app.pipeline()
         size = app.default_size
@@ -295,8 +294,8 @@ class TestNonDestructiveSweep:
             swept = pipe.compile(size, schedule=restored, target=target).run()
             # The algorithm graph stays pristine after each compile.
             assert app.output.function.schedule.splits == []
-            reference = make_blur(blur_image).apply_schedule(name).realize(
-                backend="interp")
+            reference = schedule_funcs(make_blur(blur_image), name).compile(
+                target="interp").run()
             assert np.array_equal(swept, reference), f"schedule {name!r} diverged"
 
     def test_concurrent_compiled_schedules(self, blur_image):
@@ -305,40 +304,9 @@ class TestNonDestructiveSweep:
         size = app.default_size
         compiled = {name: app.compile(schedule=name, target="numpy")
                     for name in ("breadth_first", "tiled", "tuned")}
-        outputs = {name: c() for name, c in compiled.items()}
+        outputs = {name: c.run() for name, c in compiled.items()}
         for name, out in outputs.items():
             assert np.array_equal(out, outputs["breadth_first"]), name
-
-
-# ---------------------------------------------------------------------------
-# apply_schedule double-application regression
-# ---------------------------------------------------------------------------
-
-class TestDoubleApplication:
-    def test_two_schedules_in_sequence_match_fresh_application(self, blur_image):
-        app = make_blur(blur_image)
-        app.apply_schedule("tuned")
-        app.apply_schedule("tiled")  # must replace, not stack on, "tuned"
-        fresh = make_blur(blur_image).apply_schedule("tiled")
-        assert Schedule.from_funcs(app.funcs) == Schedule.from_funcs(fresh.funcs)
-        assert np.array_equal(app.realize(), fresh.realize())
-
-    def test_same_schedule_twice_is_idempotent(self, blur_image):
-        app = make_blur(blur_image)
-        app.apply_schedule("tuned")
-        once = Schedule.from_funcs(app.funcs)
-        app.apply_schedule("tuned")
-        assert Schedule.from_funcs(app.funcs) == once
-        # Before the reset-first fix this raised (split names collide) or
-        # silently stacked splits; now the realization stays correct.
-        reference = make_blur(blur_image).apply_schedule("tuned").realize()
-        assert np.array_equal(app.realize(), reference)
-
-    def test_reset_schedules_restores_defaults(self, blur_image):
-        app = make_blur(blur_image).apply_schedule("tuned")
-        app.reset_schedules()
-        assert app.output.function.schedule.splits == []
-        assert app.funcs["blur_x"].function.schedule.is_inlined()
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +326,8 @@ class TestAutotunerSchedules:
         best = result.best_schedule(pipe)
         assert isinstance(best, Schedule)
         replayed = Schedule.from_json(best.to_json())
-        out = pipe.realize([24, 16], schedule=replayed)
-        reference = pipe.realize([24, 16])
+        out = pipe.compile([24, 16], schedule=replayed).run()
+        reference = pipe.compile([24, 16]).run()
         assert np.allclose(out, reference, atol=1e-4)
 
     def test_tuning_reuses_compilations(self, blur_image):
@@ -388,21 +356,22 @@ def _pinned_apps():
 
     img = np.zeros((24, 16), dtype=np.float32)
     return {
-        "blur": make_blur(img),
-        "unsharp": make_unsharp(img),
-        "histogram_equalize": make_histogram_equalize(img.astype(np.uint8)),
-        "bilateral_grid": make_bilateral_grid(np.zeros((16, 16), dtype=np.float32)),
-        "camera_pipe": make_camera_pipe(img.astype(np.uint16)),
-        "interpolate": make_interpolate(np.zeros((16, 12, 4), dtype=np.float32), levels=2),
-        "local_laplacian": make_local_laplacian(img, levels=2, intensity_levels=4),
-        "video": make_video(16, 12),
-        "rasterize": make_rasterize(16, 12, default_primitives(16, 12)),
-        "pyramid": make_pyramid(img, levels=2),
+        "blur": lambda: make_blur(img),
+        "unsharp": lambda: make_unsharp(img),
+        "histogram_equalize": lambda: make_histogram_equalize(img.astype(np.uint8)),
+        "bilateral_grid": lambda: make_bilateral_grid(np.zeros((16, 16), dtype=np.float32)),
+        "camera_pipe": lambda: make_camera_pipe(img.astype(np.uint16)),
+        "interpolate": lambda: make_interpolate(np.zeros((16, 12, 4), dtype=np.float32),
+                                                levels=2),
+        "local_laplacian": lambda: make_local_laplacian(img, levels=2, intensity_levels=4),
+        "video": lambda: make_video(16, 12),
+        "rasterize": lambda: make_rasterize(16, 12, default_primitives(16, 12)),
+        "pyramid": lambda: make_pyramid(img, levels=2),
     }
 
 
 #: app/schedule -> (digest of the declared Schedule data — the builder path,
-#: digest captured from the Funcs after apply_schedule — replay + capture).
+#: digest captured from the Funcs after scheduling them — replay + capture).
 _APP_DIGESTS = {
     'bilateral_grid/breadth_first': ('e919270e70905c7d', 'd3c8e928f485bb1a'),
     'bilateral_grid/gpu': ('0b60e209d2df4549', 'e5ada4539fc7716c'),
@@ -477,10 +446,12 @@ _FUZZ_DIGESTS = {
 class TestPinnedDigests:
     def test_app_schedule_digests(self):
         observed = {}
-        for app_name, app in _pinned_apps().items():
+        for app_name, app_maker in _pinned_apps().items():
+            app = app_maker()
             for name in sorted(app.schedules):
                 declared = app.named_schedule(name).digest()
-                captured = Schedule.from_funcs(app.apply_schedule(name).funcs).digest()
+                captured = Schedule.from_funcs(
+                    schedule_funcs(app_maker(), name).funcs).digest()
                 observed[f"{app_name}/{name}"] = (declared, captured)
         assert observed == _APP_DIGESTS
 

@@ -1,9 +1,9 @@
 """Schedule round-tripping: for every app x named schedule, the serialized
-first-class Schedule must reproduce the mutation-based path bit-for-bit.
+first-class Schedule must reproduce scheduling the Funcs directly, bit-for-bit.
 
 The pipeline under test:
 
-    mutation path:  make_app().apply_schedule(name).realize(backend)
+    mutation path:  schedule_funcs(make_app(), name).compile(target=backend)
     value path:     Schedule.from_funcs(mutated funcs) -> JSON ->
                     Schedule.from_json -> fresh_app.pipeline()
                     .compile(schedule=..., target=backend).run()
@@ -27,6 +27,8 @@ from repro.apps import (
     make_local_laplacian,
     make_unsharp,
 )
+
+from conftest import schedule_funcs
 
 
 def _blur():
@@ -89,9 +91,9 @@ def _cases():
 
 @pytest.mark.parametrize("maker, schedule_name, backend", _cases())
 def test_schedule_round_trip_is_bit_identical(maker, schedule_name, backend):
-    # Mutation-based path (apply_schedule mutates a dedicated app instance).
-    mutated = maker().apply_schedule(schedule_name)
-    reference = mutated.realize(backend=backend)
+    # Mutation-based path (the Funcs of a dedicated app instance are scheduled).
+    mutated = schedule_funcs(maker(), schedule_name)
+    reference = mutated.compile(target=backend).run()
 
     # Capture the mutated Funcs as Schedule data and push it through JSON.
     captured = Schedule.from_funcs(mutated.funcs)
@@ -112,8 +114,8 @@ def test_schedule_round_trip_is_bit_identical(maker, schedule_name, backend):
 
 @pytest.mark.parametrize("app_name", sorted(_MAKERS))
 def test_named_schedules_are_first_class_data(app_name):
-    """Every named app schedule is Schedule data (not a legacy callable) and
-    survives dict/JSON round trips."""
+    """Every named app schedule is Schedule data and survives dict/JSON
+    round trips."""
     app = _MAKERS[app_name]()
     for name in app.schedules:
         schedule = app.named_schedule(name)
@@ -164,6 +166,6 @@ def test_generated_schedule_roundtrip_realize_identical(pipeline_seed):
     sizes = [9, 6]
     for schedule in schedules:
         restored = Schedule.from_json(schedule.to_json())
-        a = Pipeline(built.output).realize(sizes, schedule=schedule, target="numpy")
-        b = Pipeline(built.output).realize(sizes, schedule=restored, target="numpy")
+        a = Pipeline(built.output).compile(sizes, schedule=schedule, target="numpy").run()
+        b = Pipeline(built.output).compile(sizes, schedule=restored, target="numpy").run()
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -27,8 +27,7 @@ def blur_reference(blur_image):
 
 @pytest.mark.parametrize("schedule_name", sorted(BLUR_SCHEDULES))
 def test_named_blur_schedules_match_reference(schedule_name, blur_image, blur_reference):
-    app = make_blur(blur_image).apply_schedule(schedule_name)
-    result = app.realize()
+    result = make_blur(blur_image).compile(schedule_name).run()
     assert_images_close(result, blur_reference)
 
 
@@ -45,33 +44,33 @@ class TestCustomSchedules:
         x, y, xo, yo, xi, yi = (Var(n) for n in ("x", "y", "xo", "yo", "xi", "yi"))
         blur_y.tile(x, y, xo, yo, xi, yi, 16, 12)
         blur_x.compute_at(blur_y, xo)
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_column_major_traversal(self, blur_image, blur_reference):
         app = self._build(blur_image)
         blur_y = app.funcs["blur_y"]
         blur_y.reorder(Var("y"), Var("x"))
         app.funcs["blur_x"].compute_at(blur_y, Var("x"))
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_unrolled_inner_loop(self, blur_image, blur_reference):
         app = self._build(blur_image)
         blur_y = app.funcs["blur_y"]
         blur_y.unroll(Var("x"), 4)
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_vectorized_wider_than_stencil(self, blur_image, blur_reference):
         app = self._build(blur_image)
         app.funcs["blur_y"].vectorize(Var("x"), 8)
         app.funcs["blur_x"].compute_root().vectorize(Var("x"), 8)
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_store_root_compute_at_x(self, blur_image, blur_reference):
         # Sliding along the innermost loop instead of scanlines.
         app = self._build(blur_image)
         blur_y = app.funcs["blur_y"]
         app.funcs["blur_x"].store_root().compute_at(blur_y, Var("x"))
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_nested_splits(self, blur_image, blur_reference):
         app = self._build(blur_image)
@@ -79,7 +78,7 @@ class TestCustomSchedules:
         x, xo, xi, xoo, xoi = (Var(n) for n in ("x", "xo", "xi", "xoo", "xoi"))
         blur_y.split(x, xo, xi, 8).split(xo, xoo, xoi, 2)
         app.funcs["blur_x"].compute_at(blur_y, xoi)
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_parallel_outer_serial_inner(self, blur_image, blur_reference):
         app = self._build(blur_image)
@@ -87,7 +86,7 @@ class TestCustomSchedules:
         y, yo, yi = Var("y"), Var("yo"), Var("yi")
         blur_y.split(y, yo, yi, 4).parallel(yo)
         app.funcs["blur_x"].compute_at(blur_y, yo)
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_gpu_style_tiling(self, blur_image, blur_reference):
         app = self._build(blur_image)
@@ -95,13 +94,12 @@ class TestCustomSchedules:
         x, y, xi, yi = Var("x"), Var("y"), Var("xi"), Var("yi")
         blur_y.gpu_tile(x, y, xi, yi, 8, 8)
         app.funcs["blur_x"].compute_at(blur_y, Var("x_blk"))
-        assert_images_close(app.realize(), blur_reference)
+        assert_images_close(app.compile().run(), blur_reference)
 
     def test_different_output_sizes(self, blur_image):
         # Realizing a sub-region must agree with the full-image reference.
         reference = blur_ref(blur_image)
-        app = self._build(blur_image).apply_schedule("tiled")
-        result = app.realize([17, 13])
+        result = self._build(blur_image).compile("tiled", [17, 13]).run()
         assert_images_close(result, reference[:17, :13])
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core.schedule import ScheduleError
 from repro.lang import Buffer, Func, Var, repeat_edge
 from repro.pipeline import Pipeline
+from repro.runtime.counters import Counters
 
 SIZES = [24, 16]
 ITEM = np.dtype(np.float32).itemsize
@@ -58,10 +59,10 @@ class TestSlidingWindowPass:
     def test_sliding_output_matches_breadth_first(self, stencil_image):
         producer, consumer = _chain(stencil_image)
         producer.compute_root()
-        expected = Pipeline(consumer).realize(SIZES)
+        expected = Pipeline(consumer).compile(SIZES).run()
         producer2, consumer2 = _chain(stencil_image)
         producer2.store_root().compute_at(consumer2, Var("y"))
-        got = Pipeline(consumer2).realize(SIZES)
+        got = Pipeline(consumer2).compile(SIZES).run()
         assert got.tobytes() == expected.tobytes()
 
 
@@ -77,19 +78,20 @@ class TestAutomaticFolding:
     def test_auto_fold_peak_matches_ring_size(self, stencil_image):
         producer, consumer = _chain(stencil_image)
         producer.store_root().compute_at(consumer, Var("y"))
-        report = Pipeline(consumer).realize_with_report(SIZES)
-        assert report.counters.peak_allocated_by_buffer["ss_producer"] == \
-            SIZES[0] * 4 * ITEM
+        counters = Counters()
+        Pipeline(consumer).compile(SIZES).run(listeners=[counters])
+        assert counters.peak_allocated_by_buffer["ss_producer"] == SIZES[0] * 4 * ITEM
 
     def test_per_buffer_breakdown_at_root(self, stencil_image):
         # At compute_root the producer holds the consumer's full vertical
         # footprint (height + one row of stencil slack on each side).
         producer, consumer = _chain(stencil_image)
         producer.compute_root()
-        report = Pipeline(consumer).realize_with_report(SIZES)
-        peaks = report.counters.peak_allocated_by_buffer
+        counters = Counters()
+        Pipeline(consumer).compile(SIZES).run(listeners=[counters])
+        peaks = counters.peak_allocated_by_buffer
         assert peaks["ss_producer"] == SIZES[0] * (SIZES[1] + 2) * ITEM
-        assert report.counters.peak_allocated_bytes >= max(peaks.values())
+        assert counters.peak_allocated_bytes >= max(peaks.values())
 
 
 class TestForcedFolding:
@@ -102,15 +104,15 @@ class TestForcedFolding:
     def test_forced_fold_output_and_footprint(self, stencil_image):
         producer, consumer = _chain(stencil_image)
         producer.compute_root()
-        expected = Pipeline(consumer).realize(SIZES)
+        expected = Pipeline(consumer).compile(SIZES).run()
 
         producer2, consumer2 = _chain(stencil_image)
         producer2.store_root().compute_at(consumer2, Var("y")).storage_fold("y", 3)
-        report = Pipeline(consumer2).realize_with_report(SIZES)
-        assert report.output.tobytes() == expected.tobytes()
+        counters = Counters()
+        output = Pipeline(consumer2).compile(SIZES).run(listeners=[counters])
+        assert output.tobytes() == expected.tobytes()
         # The ring holds exactly 3 rows — tighter than the automatic pow2 fold.
-        assert report.counters.peak_allocated_by_buffer["ss_producer"] == \
-            SIZES[0] * 3 * ITEM
+        assert counters.peak_allocated_by_buffer["ss_producer"] == SIZES[0] * 3 * ITEM
 
     def test_factor_smaller_than_window_raises(self, stencil_image):
         producer, consumer = _chain(stencil_image)
@@ -155,5 +157,5 @@ class TestForcedFolding:
         for target in ("interp", "numpy", "compiled"):
             producer, consumer = _chain(stencil_image)
             producer.store_root().compute_at(consumer, Var("y")).storage_fold("y", 3)
-            results.append(Pipeline(consumer).realize(SIZES, target=target))
+            results.append(Pipeline(consumer).compile(SIZES, target=target).run())
         assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()

@@ -12,6 +12,8 @@ The acceptance properties of the subsystem:
   a single byte of output.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ class TestBoundedMemory:
         for schedule in ("breadth_first", "streaming", "streaming_folded"):
             stats = self._peaks(_frames(module_rng, 24), schedule=schedule)
             assert stats.static_peak_bytes == stats.peak_intermediate_bytes
+
+    @pytest.mark.parametrize("target", [
+        "compiled", pytest.param("native", marks=pytest.mark.native)])
+    def test_uninstrumented_backend_streams_without_warnings(self, module_rng, target):
+        """A backend that drives no listeners streams with none attached:
+        no RuntimeWarning per chunk, measured peaks stay zero, and the
+        static peak is the memory witness."""
+        frames = _frames(module_rng, 9)
+        compiled = make_video(WIDTH, HEIGHT, chunk=2).compile(
+            "streaming_folded", target=target)
+        stats = StreamStats()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _stream_all(compiled, frames, stats=stats)
+        assert got.tobytes() == video_ref(frames, DEFAULT_WINDOW).tobytes()
+        assert stats.chunks == 5
+        assert stats.peak_intermediate_bytes == 0 and stats.peak_by_buffer == {}
+        assert stats.static_peak_bytes == self._peaks(frames, chunk=2).peak_intermediate_bytes
 
     def test_streaming_beats_breadth_first_memory(self, module_rng):
         frames = _frames(module_rng, 32)

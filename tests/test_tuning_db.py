@@ -239,8 +239,8 @@ class TestTunerIntegration:
         assert warm.best_schedule(blur_pipeline).digest() == \
             cold.schedule.digest()
         # The restored schedule actually runs and matches the default output.
-        out = blur_pipeline.realize([32, 24], schedule=warm.schedule)
-        ref = blur_pipeline.realize([32, 24])
+        out = blur_pipeline.compile([32, 24], schedule=warm.schedule).run()
+        ref = blur_pipeline.compile([32, 24]).run()
         assert np.allclose(out, ref)
 
     def test_measured_pruning_banks_wall_clock(self, tmp_path, blur_pipeline):
@@ -286,8 +286,8 @@ class TestPretuned:
         assert schedule is not None
         rng = np.random.default_rng(3)
         app = make_blur(rng.random((40, 28)).astype(np.float32))
-        out = app.pipeline().realize([32, 20], schedule=schedule)
-        ref = app.pipeline().realize([32, 20])
+        out = app.pipeline().compile([32, 20], schedule=schedule).run()
+        ref = app.pipeline().compile([32, 20]).run()
         assert np.allclose(out, ref)
 
     def test_install_is_idempotent(self, tmp_path):
