@@ -9,14 +9,16 @@ unions the interval bounds of every call-site argument list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.interval import Interval, bounds_of_expr_in_scope, interval_union
 from repro.analysis.scope import Scope
 from repro.ir import expr as E
 from repro.ir import stmt as S
+from repro.ir.names import NameIndex
+from repro.ir.visitor import children_of
 
-__all__ = ["Box", "box_touched", "box_union", "boxes_touched"]
+__all__ = ["Box", "box_touched", "box_union"]
 
 
 class Box:
@@ -68,30 +70,55 @@ def box_touched(
     the resulting bounds are expressions only of variables defined *outside*
     ``node`` (which is exactly what the caller wants to inject as a preamble).
     """
-    collector = _BoxCollector({func_name}, scope or Scope(), consider_calls, consider_provides)
+    collector = _BoxCollector({func_name}, scope or Scope(), consider_calls, consider_provides,
+                              NameIndex())
     collector.walk(node)
     return collector.boxes.get(func_name)
 
 
-def boxes_touched(
-    node,
-    func_names: Sequence[str],
-    scope: Optional[Scope] = None,
-    consider_calls: bool = True,
-    consider_provides: bool = False,
-) -> Dict[str, Box]:
-    """Compute touched boxes for several functions in a single walk."""
-    collector = _BoxCollector(set(func_names), scope or Scope(), consider_calls, consider_provides)
-    collector.walk(node)
-    return collector.boxes
+class _LetInterval:
+    """The interval of a let's value, computed when the walk first reads it.
+
+    Most lets a walk passes on its way to a call are never read by it.  The
+    value's variables are looked up in a snapshot of the scope taken at the
+    let, so the interval is the one an eager computation there would give.
+    """
+
+    __slots__ = ("_value", "_scope", "_interval")
+
+    def __init__(self, value: E.Expr, scope: Scope, index: NameIndex):
+        self._value = value
+        self._scope: Scope = Scope()
+        for name in index.variables(value):
+            bound = scope.get(name)
+            if bound is not None:
+                self._scope.push(name, bound)
+        self._interval: Optional[Interval] = None
+
+    def __getattr__(self, attr):  # ``min`` / ``max``: compute on first read
+        if self._interval is None:
+            self._interval = bounds_of_expr_in_scope(self._value, self._scope)
+            self._scope = None
+        return getattr(self._interval, attr)
 
 
 class _BoxCollector:
-    def __init__(self, names, scope: Scope, consider_calls: bool, consider_provides: bool):
+    """One walk that records the boxes of ``names``.
+
+    ``index`` answers which Funcs and variables occur below a node, so the
+    walk skips every subtree that touches none of ``names``, binds no let or
+    loop variable its body does not mention, and computes a let's interval
+    only when it is read.  Callers that make many walks over overlapping IR
+    share one index.
+    """
+
+    def __init__(self, names, scope: Scope, consider_calls: bool, consider_provides: bool,
+                 index: NameIndex):
         self.names = names
         self.scope = scope
         self.consider_calls = consider_calls
         self.consider_provides = consider_provides
+        self.index = index
         self.boxes: Dict[str, Box] = {}
 
     def _record(self, name: str, args: Sequence[E.Expr]) -> None:
@@ -100,11 +127,26 @@ class _BoxCollector:
         existing = self.boxes.get(name)
         self.boxes[name] = box if existing is None else box_union(existing, box)
 
-    def walk(self, node) -> None:
-        if node is None:
+    def _walk_bound(self, name: str, body, interval_of) -> None:
+        """Walk ``body`` with ``name`` bound to ``interval_of()``, if the body reads it."""
+        if self.names.isdisjoint(self.index.funcs(body)):
             return
+        if name in self.index.variables(body):
+            with self.scope.bound(name, interval_of()):
+                self.walk(body)
+        else:
+            self.walk(body)
 
-        # -- expressions --------------------------------------------------
+    def _loop_interval(self, node: S.For):
+        lo = bounds_of_expr_in_scope(node.min, self.scope)
+        hi = bounds_of_expr_in_scope(node.extent, self.scope)
+        if lo.min is not None and hi.max is not None:
+            return Interval(lo.min, lo.max + hi.max - 1 if lo.max is not None else None)
+        return Interval.everything()
+
+    def walk(self, node) -> None:
+        if node is None or self.names.isdisjoint(self.index.funcs(node)):
+            return
         if isinstance(node, E.Call):
             if (
                 self.consider_calls
@@ -115,37 +157,15 @@ class _BoxCollector:
             for a in node.args:
                 self.walk(a)
             return
-        if isinstance(node, E.Let):
+        if isinstance(node, (E.Let, S.LetStmt)):
             self.walk(node.value)
-            bounds = bounds_of_expr_in_scope(node.value, self.scope)
-            with self.scope.bound(node.name, bounds):
-                self.walk(node.body)
+            self._walk_bound(node.name, node.body,
+                             lambda: _LetInterval(node.value, self.scope, self.index))
             return
-        if isinstance(node, E.Expr):
-            from repro.ir.visitor import children_of
-
-            for child in children_of(node):
-                self.walk(child)
-            return
-
-        # -- statements ---------------------------------------------------
         if isinstance(node, S.For):
             self.walk(node.min)
             self.walk(node.extent)
-            lo = bounds_of_expr_in_scope(node.min, self.scope)
-            hi = bounds_of_expr_in_scope(node.extent, self.scope)
-            if lo.min is not None and hi.max is not None:
-                loop_interval = Interval(lo.min, lo.max + hi.max - 1 if lo.max is not None else None)
-            else:
-                loop_interval = Interval.everything()
-            with self.scope.bound(node.name, loop_interval):
-                self.walk(node.body)
-            return
-        if isinstance(node, S.LetStmt):
-            self.walk(node.value)
-            bounds = bounds_of_expr_in_scope(node.value, self.scope)
-            with self.scope.bound(node.name, bounds):
-                self.walk(node.body)
+            self._walk_bound(node.name, node.body, lambda: self._loop_interval(node))
             return
         if isinstance(node, S.Provide):
             if self.consider_provides and node.name in self.names:
@@ -154,9 +174,7 @@ class _BoxCollector:
                 self.walk(a)
             self.walk(node.value)
             return
-        if isinstance(node, S.Stmt):
-            from repro.ir.visitor import children_of
-
+        if isinstance(node, (E.Expr, S.Stmt)):
             for child in children_of(node):
                 self.walk(child)
             return

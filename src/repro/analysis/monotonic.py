@@ -13,6 +13,7 @@ import enum
 
 from repro.ir import expr as E
 from repro.ir import op
+from repro.ir.names import NameIndex
 
 __all__ = ["Monotonic", "is_monotonic"]
 
@@ -89,16 +90,4 @@ def is_monotonic(e: E.Expr, var: str) -> Monotonic:
     if isinstance(e, E.Call) and e.name == "likely":
         return is_monotonic(e.args[0], var)
     # Anything else (loads, data-dependent calls, mod): check whether var occurs at all.
-    from repro.ir.visitor import IRVisitor
-
-    class _Uses(IRVisitor):
-        def __init__(self):
-            self.found = False
-
-        def visit_Variable(self, node):
-            if node.name == var:
-                self.found = True
-
-    uses = _Uses()
-    uses.visit(e)
-    return Monotonic.CONSTANT if not uses.found else Monotonic.UNKNOWN
+    return Monotonic.UNKNOWN if var in NameIndex().variables(e) else Monotonic.CONSTANT

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
+from repro.ir.names import NameIndex
 from repro.ir.visitor import children_of
 
 __all__ = [
@@ -167,13 +168,6 @@ def affine_coefficient(e: E.Expr, var: str,
     return None
 
 
-def _variable_names(node, into: set) -> None:
-    if isinstance(node, E.Variable):
-        into.add(node.name)
-    for child in children_of(node):
-        _variable_names(child, into)
-
-
 _DISALLOWED_STMTS = (S.For, S.Allocate, S.Realize, S.Provide, S.ProducerConsumer)
 
 
@@ -236,9 +230,7 @@ class _BodyScan:
             return
         # The certificate must be evaluable at loop entry: it may only
         # reference variables bound outside the body (not inner lets).
-        referenced: set = set()
-        _variable_names(coefficient, referenced)
-        if referenced & set(lets):
+        if not NameIndex().variables(coefficient).isdisjoint(lets):
             return
         self.store_checks.append(StoreCheck(store, coefficient))
 

@@ -60,14 +60,11 @@ from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
-from repro.codegen.legality import (
-    LoopBatchInfo,
-    _variable_names,
-    analyze_batchable_loops,
-)
+from repro.codegen.legality import LoopBatchInfo, analyze_batchable_loops
 from repro.compiler.lower import LoweredPipeline
 from repro.ir import expr as E
 from repro.ir import stmt as S
+from repro.ir.names import NameIndex
 from repro.runtime.counters import ExecutionListener
 from repro.runtime.executor import (
     _MISSING,
@@ -161,6 +158,8 @@ class NumpyExecutor(Executor):
         #: shape alone cannot distinguish a loop-aligned vector from a
         #: lane-axis vector whose width happens to equal the batch extent.
         self._aligned_names: Set[str] = set()
+        #: Which variables each let value reads (the same values run every batch).
+        self._names = NameIndex()
 
     # ------------------------------------------------------------------
     # batched loop execution
@@ -256,9 +255,7 @@ class NumpyExecutor(Executor):
     # lets: track which bindings carry the batch axis
     # ------------------------------------------------------------------
     def _references_aligned(self, e: E.Expr) -> bool:
-        names: Set[str] = set()
-        _variable_names(e, names)
-        return bool(names & self._aligned_names)
+        return not self._names.variables(e).isdisjoint(self._aligned_names)
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
         if self._lanes is None:

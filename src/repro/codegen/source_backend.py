@@ -52,12 +52,13 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.codegen.legality import LoopBatchInfo, _variable_names, analyze_batchable_loops
+from repro.codegen.legality import LoopBatchInfo, analyze_batchable_loops
 from repro.codegen.numpy_backend import _indices_unique
 from repro.codegen.parallel_runtime import ParallelRuntime
 from repro.compiler.lower import LoweredPipeline
 from repro.ir import expr as E
 from repro.ir import stmt as S
+from repro.ir.names import NameIndex
 from repro.ir.visitor import children_of
 from repro.runtime.counters import ExecutionListener
 from repro.runtime.executor import ExecutionError, Executor, _int_floor_div
@@ -574,6 +575,7 @@ class _Emitter:
         through the scalar path instead.
         """
         tainted = {node.name}
+        index = NameIndex()
         ok = True
 
         def walk(n) -> None:
@@ -582,16 +584,13 @@ class _Emitter:
                 return
             if isinstance(n, (S.LetStmt, E.Let)):
                 walk(n.value)
-                names: Set[str] = set()
-                _variable_names(n.value, names)
-                if names & tainted:
+                if not index.variables(n.value).isdisjoint(tainted):
                     tainted.add(n.name)
                 walk(n.body)
                 return
             if isinstance(n, S.IfThenElse):
-                names = set()
-                _variable_names(n.condition, names)
-                if names & tainted or n.condition.type.lanes > 1:
+                if not index.variables(n.condition).isdisjoint(tainted) \
+                        or n.condition.type.lanes > 1:
                     ok = False
                     return
             for child in children_of(n):

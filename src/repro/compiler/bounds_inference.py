@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.bounds import Box, box_touched
+from repro.analysis.bounds import Box, _BoxCollector, box_union
 from repro.analysis.interval import Interval, bounds_of_expr_in_scope, interval_union
 from repro.analysis.scope import Scope
 from repro.compiler.schedule_functions import bound_var
@@ -31,6 +31,7 @@ from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
 from repro.ir.mutator import IRMutator
+from repro.ir.names import NameIndex
 
 __all__ = ["bounds_inference", "BoundsError", "update_footprint"]
 
@@ -116,6 +117,15 @@ class _BoundsInference(IRMutator):
         self.env = env
         self.output_names = output_names
         self._footprints: Dict[str, Optional[List[Interval]]] = {}
+        # Shared by every box walk of this pass: each walk queries the
+        # subtrees the previous (inner) walks already summarised.
+        self._names = NameIndex()
+
+    def _box_touched(self, node: S.Stmt, name: str) -> Optional[Box]:
+        """The box of ``name`` read inside ``node`` (``box_touched`` on the shared index)."""
+        collector = _BoxCollector({name}, Scope(), True, False, self._names)
+        collector.walk(node)
+        return collector.boxes.get(name)
 
     def _footprint(self, name: str) -> Optional[List[Interval]]:
         if name not in self._footprints:
@@ -133,7 +143,7 @@ class _BoundsInference(IRMutator):
         if node.name in self.output_names or node.name not in self.env:
             return result
         func = self.env[node.name]
-        box = box_touched(body, node.name, consider_calls=True, consider_provides=False)
+        box = self._box_touched(body, node.name)
         box = _box_with_footprint(box, self._footprint(node.name), func.dimensions())
         if box is None:
             raise BoundsError(f"{node.name!r} is realized but never used")
@@ -160,12 +170,7 @@ class _BoundsInference(IRMutator):
             box = None
             for s in block_stmts:
                 if isinstance(s, S.ProducerConsumer) and not s.is_producer and s.name == name:
-                    consumer_box = box_touched(s, name, consider_calls=True,
-                                               consider_provides=False)
-                    if consumer_box is not None:
-                        from repro.analysis.bounds import box_union
-
-                        box = box_union(box, consumer_box)
+                    box = box_union(box, self._box_touched(s, name))
             box = _box_with_footprint(box, self._footprint(name), func.dimensions())
             if box is None:
                 raise BoundsError(f"{name!r} is computed but never used")

@@ -25,6 +25,7 @@ from repro.core.split import Split, TailStrategy
 from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
+from repro.ir.names import NameIndex
 from repro.ir.visitor import IRVisitor
 from repro.types import Int
 
@@ -266,15 +267,6 @@ def _hoisted_for_type(schedule: FuncSchedule, arg: str) -> S.ForType:
     return S.ForType.SERIAL
 
 
-def _expr_variable_names(node, into: set) -> None:
-    from repro.ir.visitor import children_of
-
-    if isinstance(node, E.Variable):
-        into.add(node.name)
-    for child in children_of(node):
-        _expr_variable_names(child, into)
-
-
 def _validate_rdom_outer(func: Function, update, free_pure: Sequence[str]) -> None:
     """Reject ``rdom_outer`` schedules whose interchange could be observable.
 
@@ -311,12 +303,10 @@ def _validate_rdom_outer(func: Function, update, free_pure: Sequence[str]) -> No
 
     pure_names = set(free_pure)
     if update.rdom is not None:
+        names = NameIndex()
         for rvar in update.rdom.variables:
-            referenced: set = set()
-            for e in (rvar.min, rvar.extent):
-                if isinstance(e, E.Expr):
-                    _expr_variable_names(e, referenced)
-            clash = referenced & pure_names
+            clash = pure_names & set().union(*(
+                names.variables(e) for e in (rvar.min, rvar.extent) if isinstance(e, E.Expr)))
             if clash:
                 raise ScheduleError(
                     f"rdom_outer on {func.name!r}: reduction variable "

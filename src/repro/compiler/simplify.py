@@ -15,30 +15,14 @@ from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
 from repro.ir.mutator import IRMutator
-from repro.ir.visitor import IRVisitor, children_of
+from repro.ir.names import NameIndex
 
 __all__ = ["simplify", "simplify_expr", "used_variables"]
 
 
-class _VariableUses(IRVisitor):
-    def __init__(self):
-        self.names: Set[str] = set()
-
-    def visit_Variable(self, node):
-        self.names.add(node.name)
-
-    def visit_Var(self, node):
-        self.names.add(node.name)
-
-    def visit_RVar(self, node):
-        self.names.add(node.name)
-
-
 def used_variables(node) -> Set[str]:
     """The set of variable names that occur anywhere in ``node``."""
-    uses = _VariableUses()
-    uses.visit(node)
-    return uses.names
+    return set(NameIndex().variables(node))
 
 
 def _is_cheap(e: E.Expr) -> bool:
@@ -56,6 +40,7 @@ def _is_cheap(e: E.Expr) -> bool:
 class _Simplifier(IRMutator):
     def __init__(self, let_substitutions: Optional[Dict[str, E.Expr]] = None):
         self.lets: Dict[str, E.Expr] = dict(let_substitutions or {})
+        self.names = NameIndex()
 
     # -- expressions --------------------------------------------------------
     def visit_Variable(self, node: E.Variable):
@@ -146,7 +131,7 @@ class _Simplifier(IRMutator):
                 self.lets[node.name] = saved
             return body
         body = self.mutate(node.body)
-        if node.name not in used_variables(body):
+        if node.name not in self.names.variables(body):
             return body
         return E.Let(node.name, value, body)
 
@@ -154,7 +139,7 @@ class _Simplifier(IRMutator):
     def visit_LetStmt(self, node: S.LetStmt):
         value = self.mutate(node.value)
         body = self.mutate(node.body)
-        if node.name not in used_variables(body):
+        if node.name not in self.names.variables(body):
             return body
         return S.LetStmt(node.name, value, body)
 

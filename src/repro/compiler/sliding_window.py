@@ -24,26 +24,17 @@ from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
 from repro.ir.mutator import IRMutator
-from repro.ir.visitor import IRVisitor
+from repro.ir.visitor import children_of
 
 __all__ = ["sliding_window"]
 
 
-class _ContainsProduce(IRVisitor):
-    def __init__(self, name: str):
-        self.name = name
-        self.found = False
-
-    def visit_ProducerConsumer(self, node: S.ProducerConsumer):
-        if node.is_producer and node.name == self.name:
-            self.found = True
-        self.visit(node.body)
-
-
 def _contains_produce(node, name: str) -> bool:
-    finder = _ContainsProduce(name)
-    finder.visit(node)
-    return finder.found
+    if isinstance(node, S.ProducerConsumer) and node.is_producer and node.name == name:
+        return True
+    # Produce nodes are statements, and no statement sits inside an expression.
+    return any(_contains_produce(child, name)
+               for child in children_of(node) if isinstance(child, S.Stmt))
 
 
 class _SlidingWindow(IRMutator):

@@ -10,9 +10,8 @@ four) scanlines, cutting peak memory and working-set size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple, Union
 
-from repro.analysis.bounds import box_touched
 from repro.analysis.linear import constant_difference
 from repro.analysis.monotonic import Monotonic, is_monotonic
 from repro.compiler.simplify import simplify_expr
@@ -22,7 +21,8 @@ from repro.ir import expr as E
 from repro.ir import op
 from repro.ir import stmt as S
 from repro.ir.mutator import IRMutator
-from repro.ir.visitor import IRVisitor
+from repro.ir.names import NameIndex
+from repro.ir.visitor import children_of
 
 __all__ = ["storage_folding", "MAX_FOLD_FACTOR"]
 
@@ -64,47 +64,50 @@ class _AccessRewriter(IRMutator):
         return S.Provide(node.name, value, args)
 
 
-class _SerialChainChecker(IRVisitor):
-    """Checks that every loop between a Realize and the produce of its function is serial."""
+def _produce_context(body: S.Stmt, name: str, index: NameIndex):
+    """What storage folding needs to know about the produce of ``name`` in ``body``.
 
-    def __init__(self, name: str):
-        self.name = name
-        self.all_serial = True
-        self._stack: List[S.For] = []
+    One walk over the statements that call or provide ``name`` returns
+    ``(all_serial, lets, loop_names)``: whether every loop enclosing a produce
+    of ``name`` is serial; the values of the ``<name>.<dim>.{min,max}`` lets on
+    the way (the outermost of each name); and the names of the loops enclosing
+    the first produce, outermost first.
+    """
+    lets: Dict[str, E.Expr] = {}
+    loops: List[S.For] = []
+    loop_names: List[str] = []
+    all_serial = True
 
-    def visit_For(self, node: S.For):
-        self._stack.append(node)
-        self.visit(node.body)
-        self._stack.pop()
+    def walk(node) -> None:
+        nonlocal all_serial
+        if not isinstance(node, S.Stmt) or name not in index.funcs(node):
+            return
+        if isinstance(node, S.For):
+            loops.append(node)
+            walk(node.body)
+            loops.pop()
+            return
+        if isinstance(node, S.LetStmt) and node.name.startswith(name + ".") and (
+            node.name.endswith(".min") or node.name.endswith(".max")
+        ):
+            lets.setdefault(node.name, node.value)
+        if isinstance(node, S.ProducerConsumer) and node.is_producer and node.name == name:
+            if any(f.for_type != S.ForType.SERIAL for f in loops):
+                all_serial = False
+            if not loop_names:
+                loop_names.extend(f.name for f in loops)
+        for child in children_of(node):
+            walk(child)
 
-    def visit_ProducerConsumer(self, node: S.ProducerConsumer):
-        if node.is_producer and node.name == self.name:
-            if any(f.for_type != S.ForType.SERIAL for f in self._stack):
-                self.all_serial = False
-        self.visit(node.body)
-
-
-def _find_compute_lets(body: S.Stmt, name: str) -> Dict[str, E.Expr]:
-    """The values of the <name>.<dim>.{min,max} lets wrapping the produce of ``name``."""
-    found: Dict[str, E.Expr] = {}
-
-    class _Finder(IRVisitor):
-        def visit_LetStmt(self, node: S.LetStmt):
-            if node.name.startswith(name + ".") and (
-                node.name.endswith(".min") or node.name.endswith(".max")
-            ):
-                found.setdefault(node.name, node.value)
-            self.visit(node.value)
-            self.visit(node.body)
-
-    _Finder().visit(body)
-    return found
+    walk(body)
+    return all_serial, lets, loop_names
 
 
 class _StorageFolder(IRMutator):
     def __init__(self, env: Dict[str, Function]):
         self.env = env
         self.folds: Dict[str, Dict[str, int]] = {}
+        self.names = NameIndex()
 
     def visit_Realize(self, node: S.Realize):
         body = self.mutate(node.body)
@@ -114,21 +117,21 @@ class _StorageFolder(IRMutator):
                 return node
             return S.Realize(node.name, node.type, node.bounds, body)
 
-        checker = _SerialChainChecker(node.name)
-        checker.visit(body)
+        all_serial, lets, loop_names = _produce_context(body, node.name, self.names)
         bounds = list(node.bounds)
         forced = dict(getattr(func.schedule, "storage_folds", None) or {})
         if forced:
             body, bounds = self._apply_forced_folds(
-                func, forced, body, bounds, checker.all_serial
+                func, forced, body, bounds, all_serial, lets, loop_names
             )
-        elif checker.all_serial:
-            body, bounds = self._try_fold(func, body, bounds)
+        elif all_serial:
+            body, bounds = self._try_fold(func, body, bounds, lets, loop_names)
         return S.Realize(node.name, node.type, bounds, body)
 
     def _apply_forced_folds(self, func: Function, forced: Dict[str, int],
                             body: S.Stmt, bounds: List[Tuple[E.Expr, E.Expr]],
-                            all_serial: bool):
+                            all_serial: bool, lets: Dict[str, E.Expr],
+                            loop_names: List[str]):
         """Apply schedule-directed ``storage_fold`` directives, or raise ScheduleError.
 
         Unlike the automatic path (which silently skips anything it cannot
@@ -136,8 +139,6 @@ class _StorageFolder(IRMutator):
         every legality condition is checked loudly: this is where a schedule
         that would need unbounded history is rejected.
         """
-        lets = _find_compute_lets(body, func.name)
-        loop_names = _loop_names_between(body, func.name)
         for dim, factor in forced.items():
             what = f"storage_fold({dim!r}, {factor}) on {func.name!r}"
             if dim not in func.args:
@@ -151,92 +152,66 @@ class _StorageFolder(IRMutator):
                     f"{what}: a parallel loop sits between the storage and the "
                     f"computation, so folded values could be overwritten while "
                     f"other iterations still need them")
-            dim_index = func.args.index(dim)
-            min_expr = lets.get(f"{func.name}.{dim}.min")
-            max_expr = lets.get(f"{func.name}.{dim}.max")
-            if min_expr is None or max_expr is None:
+            entries = _window(func.name, dim, lets)
+            if isinstance(entries, str):
+                raise ScheduleError(f"{what}: {entries}")
+            if entries > factor:
                 raise ScheduleError(
-                    f"{what}: the function is not computed inside its storage "
-                    f"scope (inlined, or computed at the same level it is "
-                    f"stored), so there is no window to fold")
-            window = constant_difference(max_expr, min_expr)
-            if window is None or window < 0:
-                raise ScheduleError(
-                    f"{what}: the extent of {dim!r} touched per iteration is "
-                    f"not a constant — the schedule would require unbounded "
-                    f"history to fold this dimension")
-            if int(window) + 1 > factor:
-                raise ScheduleError(
-                    f"{what}: each iteration touches {int(window) + 1} entries "
+                    f"{what}: each iteration touches {entries} entries "
                     f"of {dim!r}, which do not fit in a fold of {factor}")
-            marching = any(
-                is_monotonic(simplify_expr(min_expr), loop) == Monotonic.INCREASING
-                for loop in loop_names
-            )
-            if not marching:
+            if not _marches(func.name, dim, lets, loop_names):
                 raise ScheduleError(
                     f"{what}: the window of {dim!r} does not march "
                     f"monotonically along an enclosing serial loop, so folding "
                     f"would overwrite values still needed")
-            body = _AccessRewriter(func.name, dim_index, factor).mutate(body)
-            bounds[dim_index] = (op.const(0), op.const(factor))
-            self.folds.setdefault(func.name, {})[dim] = factor
+            body, bounds = self._fold(func, dim, factor, body, bounds)
         return body, bounds
 
     def _try_fold(self, func: Function, body: S.Stmt,
-                  bounds: List[Tuple[E.Expr, E.Expr]]):
-        lets = _find_compute_lets(body, func.name)
-        loop_names = _loop_names_between(body, func.name)
+                  bounds: List[Tuple[E.Expr, E.Expr]], lets: Dict[str, E.Expr],
+                  loop_names: List[str]):
         for dim_index, dim in enumerate(func.args):
-            min_expr = lets.get(f"{func.name}.{dim}.min")
-            max_expr = lets.get(f"{func.name}.{dim}.max")
-            if min_expr is None or max_expr is None:
+            entries = _window(func.name, dim, lets)
+            if isinstance(entries, str):
                 continue
-            window = constant_difference(max_expr, min_expr)
-            if window is None or window < 0:
-                continue
-            fold = _round_up_to_power_of_two(int(window) + 1)
-            if fold > MAX_FOLD_FACTOR:
-                continue
-            # The footprint must march monotonically along some enclosing serial loop;
-            # otherwise folding would overwrite values still needed.
-            marching = any(
-                is_monotonic(simplify_expr(min_expr), loop) == Monotonic.INCREASING
-                for loop in loop_names
-            )
-            if not marching:
+            fold = _round_up_to_power_of_two(entries)
+            if fold > MAX_FOLD_FACTOR or not _marches(func.name, dim, lets, loop_names):
                 continue
             # Don't bother folding allocations already known to be at most `fold`.
             alloc_extent = constant_difference(bounds[dim_index][1], op.const(0))
             if alloc_extent is not None and alloc_extent <= fold:
                 continue
-            body = _AccessRewriter(func.name, dim_index, fold).mutate(body)
-            bounds[dim_index] = (op.const(0), op.const(fold))
-            self.folds.setdefault(func.name, {})[dim] = fold
-            break
+            return self._fold(func, dim, fold, body, bounds)
+        return body, bounds
+
+    def _fold(self, func: Function, dim: str, factor: int, body: S.Stmt,
+              bounds: List[Tuple[E.Expr, E.Expr]]):
+        dim_index = func.args.index(dim)
+        body = _AccessRewriter(func.name, dim_index, factor).mutate(body)
+        bounds[dim_index] = (op.const(0), op.const(factor))
+        self.folds.setdefault(func.name, {})[dim] = factor
         return body, bounds
 
 
-def _loop_names_between(body: S.Stmt, name: str) -> List[str]:
-    """Names of loops between the top of ``body`` and the produce of ``name``."""
-    names: List[str] = []
+def _window(name: str, dim: str, lets: Dict[str, E.Expr]) -> Union[int, str]:
+    """How many entries of ``dim`` each iteration touches, or why that is not a constant."""
+    min_expr = lets.get(f"{name}.{dim}.min")
+    max_expr = lets.get(f"{name}.{dim}.max")
+    if min_expr is None or max_expr is None:
+        return ("the function is not computed inside its storage scope (inlined, "
+                "or computed at the same level it is stored), so there is no window to fold")
+    window = constant_difference(max_expr, min_expr)
+    if window is None or window < 0:
+        return (f"the extent of {dim!r} touched per iteration is not a constant — the "
+                f"schedule would require unbounded history to fold this dimension")
+    return int(window) + 1
 
-    class _Finder(IRVisitor):
-        def __init__(self):
-            self.stack: List[str] = []
 
-        def visit_For(self, node: S.For):
-            self.stack.append(node.name)
-            self.visit(node.body)
-            self.stack.pop()
-
-        def visit_ProducerConsumer(self, node: S.ProducerConsumer):
-            if node.is_producer and node.name == name and not names:
-                names.extend(self.stack)
-            self.visit(node.body)
-
-    _Finder().visit(body)
-    return names
+def _marches(name: str, dim: str, lets: Dict[str, E.Expr], loop_names: List[str]) -> bool:
+    """Whether the window of ``dim`` moves monotonically up some enclosing serial loop;
+    folding a window that does not would overwrite values still needed."""
+    min_expr = simplify_expr(lets[f"{name}.{dim}.min"])
+    return any(is_monotonic(min_expr, loop) == Monotonic.INCREASING for loop in loop_names)
 
 
 def storage_folding(stmt: S.Stmt, env: Dict[str, Function]) -> Tuple[S.Stmt, Dict[str, Dict[str, int]]]:

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.ir import expr as E
 from repro.ir import op
+from repro.ir.names import NameIndex
 
 __all__ = ["Definition", "UpdateDefinition", "ReductionDomain", "ReductionVariable"]
 
@@ -74,20 +75,8 @@ class UpdateDefinition:
         cdf(ri-1) + hist(ri)`` has no free pure vars, whereas
         ``blur(x, y) = blur(x, y) + in(x, y + r)`` has both ``x`` and ``y``).
         """
-        used = set()
-
-        def collect(e: E.Expr) -> None:
-            from repro.ir.visitor import children_of
-
-            if isinstance(e, E.Variable):
-                used.add(e.name)
-                return
-            for child in children_of(e):
-                collect(child)
-
-        for a in self.args:
-            collect(a)
-        collect(self.value)
+        index = NameIndex()
+        used = set().union(*(index.variables(e) for e in (*self.args, self.value)))
         return [a for a in pure_args if a in used]
 
     def __repr__(self) -> str:  # pragma: no cover

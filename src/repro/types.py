@@ -72,11 +72,11 @@ class Type:
     # -- derived types ---------------------------------------------------
     def with_lanes(self, lanes: int) -> "Type":
         """Return the same element type with a different vector width."""
-        return Type(self.code, self.bits, lanes)
+        return self if lanes == self.lanes else Type(self.code, self.bits, lanes)
 
     def element_of(self) -> "Type":
         """Return the scalar element type."""
-        return Type(self.code, self.bits, 1)
+        return self if self.lanes == 1 else Type(self.code, self.bits, 1)
 
     # -- value ranges -----------------------------------------------------
     def min_value(self) -> float:
