@@ -80,124 +80,76 @@ class Expr:
 
     # -- arithmetic operators --------------------------------------------
     def __add__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Add, self, other)
 
     def __radd__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Add, other, self)
 
     def __sub__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Sub, self, other)
 
     def __rsub__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Sub, other, self)
 
     def __mul__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Mul, self, other)
 
     def __rmul__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Mul, other, self)
 
     def __truediv__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Div, self, other)
 
     def __rtruediv__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Div, other, self)
 
     def __floordiv__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Div, self, other)
 
     def __rfloordiv__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Div, other, self)
 
     def __mod__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Mod, self, other)
 
     def __rmod__(self, other):
-        from repro.ir import op
-
         return op.make_binary(Mod, other, self)
 
     def __neg__(self):
-        from repro.ir import op
-
         return op.make_binary(Sub, op.const(0, self.type), self)
 
     # -- comparisons (note: these intentionally shadow rich comparison) ---
     def eq(self, other):
-        from repro.ir import op
-
         return op.make_compare(EQ, self, other)
 
     def ne(self, other):
-        from repro.ir import op
-
         return op.make_compare(NE, self, other)
 
     def __lt__(self, other):
-        from repro.ir import op
-
         return op.make_compare(LT, self, other)
 
     def __le__(self, other):
-        from repro.ir import op
-
         return op.make_compare(LE, self, other)
 
     def __gt__(self, other):
-        from repro.ir import op
-
         return op.make_compare(GT, self, other)
 
     def __ge__(self, other):
-        from repro.ir import op
-
         return op.make_compare(GE, self, other)
 
     def __and__(self, other):
-        from repro.ir import op
-
         return op.make_logical(And, self, other)
 
     def __rand__(self, other):
-        from repro.ir import op
-
         return op.make_logical(And, other, self)
 
     def __or__(self, other):
-        from repro.ir import op
-
         return op.make_logical(Or, self, other)
 
     def __ror__(self, other):
-        from repro.ir import op
-
         return op.make_logical(Or, other, self)
 
     def __invert__(self):
-        from repro.ir import op
-
         return op.make_not(self)
 
     def __repr__(self) -> str:
@@ -473,3 +425,8 @@ class Let(Expr):
 
     def _key(self):
         return (self.name, self.value, self.body)
+
+
+# ``op`` builds its constructors on the node classes above, so it is bound
+# last; the operator methods look it up as a module global when called.
+from repro.ir import op  # noqa: E402

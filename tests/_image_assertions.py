@@ -1,10 +1,4 @@
-"""Shared image-comparison helpers for the test suite.
-
-Kept in a plain module (not a conftest) so test modules can import the
-helpers explicitly without depending on which conftest pytest resolved
-first — ``benchmarks/conftest.py`` used to shadow ``tests/conftest.py``
-when both directories were collected together.
-"""
+"""Shared image-comparison helpers for the test suite."""
 
 from __future__ import annotations
 

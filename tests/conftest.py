@@ -1,18 +1,14 @@
 """Shared fixtures for the test suite.
 
-The image-comparison helpers live in :mod:`_image_assertions`; the re-export
-below keeps older ``from conftest import assert_images_close`` imports
-working, and :func:`schedule_funcs` schedules an app's Funcs directly.
-Tests marked ``@pytest.mark.native`` are auto-skipped on machines without a
-C compiler (the probe runs once per process and is cached).
+:func:`schedule_funcs` schedules an app's Funcs directly.  Tests marked
+``@pytest.mark.native`` are auto-skipped on machines without a C compiler
+(the probe runs once per process and is cached).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from _image_assertions import assert_images_close  # noqa: F401  (re-export)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -6,6 +6,8 @@ levels at their own edges (interpolate, local Laplacian), the comparison crops
 the documented margin.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,25 @@ class TestLocalLaplacianApp:
         large = analyze_pipeline(make_local_laplacian(image, levels=4, intensity_levels=8).output)
         assert large.num_functions > small.num_functions
         assert large.num_functions >= 30
+
+
+def _gray(shape=(16, 12)):
+    return np.random.default_rng(7).random(shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("make, reference, factor", [
+    (lambda: make_blur(_gray()), blur_ref, 2),
+    (lambda: make_bilateral_grid(_gray()), bilateral_grid_ref, 2),
+    (lambda: make_camera_pipe((_gray((24, 20)) * 1024).astype(np.uint16)),
+     camera_pipe_ref, 1),
+    (lambda: make_interpolate(np.dstack([_gray()] * 4), levels=3),
+     interpolate_ref, 2),
+    (lambda: make_local_laplacian(_gray(), levels=3, intensity_levels=4),
+     local_laplacian_ref, 2),
+], ids=["blur", "bilateral_grid", "camera_pipe", "interpolate", "local_laplacian"])
+def test_algorithm_is_shorter_than_the_reference(make, reference, factor):
+    """Figure 7's code-size claim: the algorithm is at most half the length
+    of the reference implementation's module, except the camera pipe, whose
+    demosaic arithmetic both spell out (never longer there)."""
+    reference_lines = len(inspect.getsource(inspect.getmodule(reference)).splitlines())
+    assert make().algorithm_lines * factor <= reference_lines

@@ -17,6 +17,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,17 +97,27 @@ def _parity_cases():
     for name, maker in _app_cases().items():
         app, _ = maker()
         for schedule in sorted(app.schedules):
-            yield pytest.param(maker, schedule, id=f"{name}-{schedule}")
+            yield pytest.param(name, schedule, id=f"{name}-{schedule}")
+
+
+@functools.lru_cache(maxsize=None)
+def _interp_reference(app_name, schedule):
+    """The interpreter's output for one app x named schedule, computed once
+    per session: the parity oracle of every backend's suite."""
+    app, sizes = _app_cases()[app_name]()
+    reference = app.compile(schedule, sizes, target="interp").run()
+    reference.setflags(write=False)
+    return reference
 
 
 # ---------------------------------------------------------------------------
 # three-way parity: every app x every named schedule, bit-identical
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("maker, schedule", _parity_cases())
-def test_three_way_backend_parity(maker, schedule):
-    app, sizes = maker()
-    reference = app.compile(schedule, sizes, target="interp").run()
+@pytest.mark.parametrize("app_name, schedule", _parity_cases())
+def test_three_way_backend_parity(app_name, schedule):
+    app, sizes = _app_cases()[app_name]()
+    reference = _interp_reference(app_name, schedule)
     via_numpy = app.compile(schedule, sizes, target="numpy").run()
     via_compiled = app.compile(schedule, sizes, target="compiled").run()
     assert_images_identical(via_numpy, reference)

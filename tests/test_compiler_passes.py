@@ -13,7 +13,7 @@ from repro.ir.visitor import IRVisitor
 from repro.lang import Buffer, Func, Var, repeat_edge
 from repro.pipeline import Pipeline
 
-from conftest import assert_images_close
+from _image_assertions import assert_images_close
 
 
 class TestUnrollPass:

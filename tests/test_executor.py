@@ -9,7 +9,7 @@ from repro.runtime.counters import Counters, ExecutionListener
 from repro.runtime.executor import ExecutionError, Executor
 from repro.types import Float, Int, UInt
 
-from conftest import assert_images_close
+from _image_assertions import assert_images_close
 
 
 class TestBasicExecution:

@@ -155,3 +155,20 @@ class TestStructuralEquality:
         x = E.Variable("x")
         with pytest.raises(TypeError):
             bool(x < 3)
+
+
+@pytest.mark.parametrize("first", ["repro.ir.op", "repro.ir.expr"])
+def test_operators_work_whichever_module_is_imported_first(first):
+    """``expr`` binds ``op`` at the bottom of its module; a fresh interpreter
+    importing either module first still gets working operators."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import {first}; "
+            "from repro.ir.expr import Variable; x = Variable('x'); "
+            "print(repr(x + 1), repr(-x), repr(~(x < 2)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "(x + 1) (0 - x) !((x < 2))"

@@ -19,7 +19,7 @@ from repro.lang import (
 )
 from repro.types import Float, Int, UInt
 
-from conftest import assert_images_close
+from _image_assertions import assert_images_close
 
 
 class TestDefinitions:

@@ -40,7 +40,7 @@ from repro.runtime import backend_names, create_executor, get_backend
 from repro.runtime.target import Target
 from repro.streaming import realize_stream
 
-from test_compiled_backend import _app_cases, _parity_cases
+from test_compiled_backend import _app_cases, _interp_reference, _parity_cases
 
 pytestmark = []  # per-test marks below; module stays importable everywhere
 
@@ -50,10 +50,10 @@ pytestmark = []  # per-test marks below; module stays importable everywhere
 # ---------------------------------------------------------------------------
 
 @pytest.mark.native
-@pytest.mark.parametrize("maker, schedule", _parity_cases())
-def test_native_parity_with_interpreter(maker, schedule):
-    app, sizes = maker()
-    reference = app.compile(schedule, sizes, target="interp").run()
+@pytest.mark.parametrize("app_name, schedule", _parity_cases())
+def test_native_parity_with_interpreter(app_name, schedule):
+    app, sizes = _app_cases()[app_name]()
+    reference = _interp_reference(app_name, schedule)
     via_native = app.compile(schedule, sizes, target=Target("native")).run()
     assert_images_identical(via_native, reference)
 

@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from _image_assertions import assert_images_identical
-from repro.apps import (
-    make_bilateral_grid,
-    make_blur,
-    make_camera_pipe,
-    make_histogram_equalize,
-    make_interpolate,
-    make_local_laplacian,
-    make_unsharp,
-)
+from repro.apps import make_blur, make_histogram_equalize
 from repro.codegen import NumpyExecutor, affine_coefficient, analyze_batchable_loops
 from repro.core.split import TailStrategy
 from repro.ir import expr as E
@@ -30,6 +22,8 @@ from repro.ir import stmt as S
 from repro.runtime import backend_names, get_backend
 from repro.runtime.executor import Executor
 from repro.types import Float, Int
+
+from test_compiled_backend import _app_cases
 
 
 @pytest.fixture
@@ -52,52 +46,25 @@ def _split_guarded(app):
                       TailStrategy.GUARD_WITH_IF.value))
 
 
+def _blur():
+    rng = np.random.default_rng(1)
+    return make_blur(rng.random((40, 28)).astype(np.float32)), None
+
+
 def _parity_cases():
-    def blur():
-        rng = np.random.default_rng(1)
-        return make_blur(rng.random((40, 28)).astype(np.float32)), None
-
-    def unsharp():
-        rng = np.random.default_rng(2)
-        return make_unsharp(rng.random((24, 18)).astype(np.float32), strength=1.5), None
-
-    def hist():
-        rng = np.random.default_rng(3)
-        return make_histogram_equalize((rng.random((20, 14)) * 256).astype(np.uint8)), None
-
-    def bilateral():
-        rng = np.random.default_rng(4)
-        return make_bilateral_grid(rng.random((16, 12)).astype(np.float32),
-                                   s_sigma=8, r_sigma=0.2), None
-
-    def camera():
-        rng = np.random.default_rng(5)
-        return make_camera_pipe((rng.random((32, 24)) * 1024).astype(np.uint16)), [24, 16, 3]
-
-    def interpolate():
-        rng = np.random.default_rng(6)
-        rgba = rng.random((16, 12, 4)).astype(np.float32)
-        rgba[:, :, 3] = (rgba[:, :, 3] > 0.5).astype(np.float32)
-        return make_interpolate(rgba, levels=2), [16, 12, 3]
-
-    def local_laplacian():
-        rng = np.random.default_rng(7)
-        return make_local_laplacian(rng.random((24, 16)).astype(np.float32),
-                                    levels=2, intensity_levels=4), None
-
-    apps = {
-        "blur": (blur, ["breadth_first", "full_fusion", "sliding_window",
-                        "tiled", "tuned"]),
-        "unsharp": (unsharp, ["breadth_first", "tuned", "_split_guarded"]),
-        "histogram_equalize": (hist, ["breadth_first", "tuned", "_split_guarded"]),
-        "bilateral_grid": (bilateral, ["breadth_first", "tuned", "_split_guarded"]),
-        "camera_pipe": (camera, ["breadth_first", "tuned", "_split_guarded"]),
-        "interpolate": (interpolate, ["breadth_first", "tuned", "gpu"]),
-        "local_laplacian": (local_laplacian, ["breadth_first", "tuned", "gpu"]),
+    makers = dict(_app_cases(), blur=_blur)
+    schedules = {
+        "blur": ["breadth_first", "full_fusion", "sliding_window", "tiled", "tuned"],
+        "unsharp": ["breadth_first", "tuned", "_split_guarded"],
+        "histogram_equalize": ["breadth_first", "tuned", "_split_guarded"],
+        "bilateral_grid": ["breadth_first", "tuned", "_split_guarded"],
+        "camera_pipe": ["breadth_first", "tuned", "_split_guarded"],
+        "interpolate": ["breadth_first", "tuned", "gpu"],
+        "local_laplacian": ["breadth_first", "tuned", "gpu"],
     }
-    for name, (maker, schedules) in apps.items():
-        for schedule in schedules:
-            yield pytest.param(maker, schedule, id=f"{name}-{schedule}")
+    for name, names in schedules.items():
+        for schedule in names:
+            yield pytest.param(makers[name], schedule, id=f"{name}-{schedule}")
 
 
 @pytest.mark.parametrize("maker, schedule", _parity_cases())

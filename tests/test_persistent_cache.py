@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,18 @@ def _compile(cache_dir, target="compiled", bind=True):
     return pipeline, compiled, img
 
 
+#: One process's compile against a cache directory: prints its disk-cache
+#: counters and output bytes as JSON.
+_RESTART_PROBE = """
+import json, sys
+from test_persistent_cache import _compile
+pipeline, compiled, _ = _compile(sys.argv[1])
+info = pipeline.disk_cache_info()._asdict()
+info["output"] = compiled.run().tobytes().hex()
+print(json.dumps(info))
+"""
+
+
 # ---------------------------------------------------------------------------
 # cold / warm starts
 # ---------------------------------------------------------------------------
@@ -89,6 +104,20 @@ class TestPersistence:
         assert info.hits == 1 and info.misses == 0
         assert info.lowerings == 0
         assert compiled.run().tobytes() == reference.tobytes()
+
+    def test_warm_start_across_processes(self, tmp_path):
+        """A restarted process restores its program from the cache directory
+        with zero lowerings: no part of the key is per-process state."""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(here.parent / "src"), str(here)]))
+        cold, warm = (json.loads(subprocess.run(
+            [sys.executable, "-c", _RESTART_PROBE, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+            timeout=300).stdout) for _ in range(2))
+        assert cold["lowerings"] >= 1 and cold["stores"] >= 1, cold
+        assert warm["lowerings"] == 0 and warm["hits"] >= 1, warm
+        assert warm["output"] == cold["output"]
 
     def test_restored_pipeline_reruns_and_batches(self, tmp_path):
         _compile(tmp_path)
@@ -293,6 +322,7 @@ class TestRealizeBatch:
     @pytest.mark.parametrize("target", [
         Target("compiled"),
         Target("compiled", threads=2),
+        Target("compiled", threads=4),
     ])
     def test_batch_bit_equals_serial_runs(self, target, tmp_path):
         _, compiled, _ = _compile(tmp_path, target=target)

@@ -12,7 +12,7 @@ from repro.apps import make_blur, BLUR_SCHEDULES
 from repro.lang import Buffer, Func, Var, repeat_edge
 from repro.reference import blur_ref
 
-from conftest import assert_images_close
+from _image_assertions import assert_images_close
 
 
 @pytest.fixture(scope="module")

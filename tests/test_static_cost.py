@@ -40,6 +40,22 @@ def blur_app():
     return make_blur(rng.random((90, 60)).astype(np.float32))
 
 
+@pytest.fixture(scope="module")
+def blur_costs(blur_app):
+    """Memoised SMALL_CACHE_CPU report of one named schedule at 64x48 under
+    one mode, shared by the parity and ranking tests."""
+    pipe, reports = blur_app.pipeline(), {}
+
+    def cost(name, mode):
+        if (name, mode) not in reports:
+            reports[name, mode] = estimate_cost(
+                pipe, [64, 48], schedule=blur_app.named_schedule(name),
+                profile=SMALL_CACHE_CPU, mode=mode)
+        return reports[name, mode]
+
+    return cost
+
+
 def _counts(report):
     return (report.ops, report.loads, report.stores)
 
@@ -50,14 +66,9 @@ def _counts(report):
 
 class TestBlurCountParity:
     @pytest.mark.parametrize("name", FIG3_STRATEGIES + ["tiled", "tuned"])
-    def test_counts_match_dynamic_model(self, blur_app, name):
-        pipe = blur_app.pipeline()
-        schedule = blur_app.named_schedule(name)
-        static = estimate_cost(pipe, [64, 48], schedule=schedule,
-                               profile=SMALL_CACHE_CPU, mode="static")
-        dynamic = estimate_cost(pipe, [64, 48], schedule=schedule,
-                                profile=SMALL_CACHE_CPU, mode="dynamic")
-        assert _counts(static) == _counts(dynamic)
+    def test_counts_match_dynamic_model(self, blur_costs, name):
+        assert _counts(blur_costs(name, "static")) == \
+            _counts(blur_costs(name, "dynamic"))
 
     def test_report_shape(self, blur_app):
         report = estimate_cost_static(blur_app.pipeline(), [32, 24],
@@ -77,38 +88,20 @@ class TestBlurCountParity:
 # ---------------------------------------------------------------------------
 
 class TestFig3Ranking:
-    def test_static_orders_sweep_like_dynamic(self, blur_app):
-        pipe = blur_app.pipeline()
-        static_cycles = {}
-        dynamic_cycles = {}
-        for name in FIG3_STRATEGIES:
-            schedule = blur_app.named_schedule(name)
-            static_cycles[name] = estimate_cost(
-                pipe, [64, 48], schedule=schedule,
-                profile=SMALL_CACHE_CPU, mode="static").cycles
-            dynamic_cycles[name] = estimate_cost(
-                pipe, [64, 48], schedule=schedule,
-                profile=SMALL_CACHE_CPU, mode="dynamic").cycles
-        static_order = sorted(FIG3_STRATEGIES, key=static_cycles.get)
-        dynamic_order = sorted(FIG3_STRATEGIES, key=dynamic_cycles.get)
+    def test_static_orders_sweep_like_dynamic(self, blur_costs):
+        static_order = sorted(FIG3_STRATEGIES,
+                              key=lambda name: blur_costs(name, "static").cycles)
+        dynamic_order = sorted(FIG3_STRATEGIES,
+                               key=lambda name: blur_costs(name, "dynamic").cycles)
         assert static_order == dynamic_order
         # Same best schedule is the part the autotuner depends on.
         assert static_order[0] == dynamic_order[0]
 
-    def test_rank_correlation(self, blur_app):
+    def test_rank_correlation(self, blur_costs):
         """Spearman rank correlation across the sweep is perfect (the orders
         are asserted equal above); keep the numeric form as documentation."""
-        pipe = blur_app.pipeline()
-        static = []
-        dynamic = []
-        for name in FIG3_STRATEGIES:
-            schedule = blur_app.named_schedule(name)
-            static.append(estimate_cost(pipe, [64, 48], schedule=schedule,
-                                        profile=SMALL_CACHE_CPU,
-                                        mode="static").cycles)
-            dynamic.append(estimate_cost(pipe, [64, 48], schedule=schedule,
-                                         profile=SMALL_CACHE_CPU,
-                                         mode="dynamic").cycles)
+        static = [blur_costs(name, "static").cycles for name in FIG3_STRATEGIES]
+        dynamic = [blur_costs(name, "dynamic").cycles for name in FIG3_STRATEGIES]
         rank_s = np.argsort(np.argsort(static)).astype(float)
         rank_d = np.argsort(np.argsort(dynamic)).astype(float)
         n = len(rank_s)

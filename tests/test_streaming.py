@@ -41,14 +41,23 @@ def _stream_all(compiled, frames, **kwargs):
     return np.stack(out, axis=2) if out else np.empty((WIDTH, HEIGHT, 0))
 
 
+#: Temporal windows swept by the parity and memory tests.
+WINDOWS = (1, 2, 4)
+
+
 class TestStreamParity:
-    @pytest.mark.parametrize("target", ["interp", "numpy", "compiled"])
+    @pytest.mark.parametrize("target", [
+        "interp", "numpy", "compiled",
+        pytest.param(Target("compiled", threads=2), id="compiled-t2"),
+        pytest.param(Target("native", threads=2), id="native-t2",
+                     marks=pytest.mark.native)])
     def test_bit_identical_to_reference_all_backends(self, module_rng, target):
         frames = _frames(module_rng, 10)  # chunk=4: two full chunks + a tail
-        app = make_video(WIDTH, HEIGHT, chunk=4)
-        compiled = app.compile("streaming_folded", target=target)
-        got = _stream_all(compiled, frames)
-        assert got.tobytes() == video_ref(frames, DEFAULT_WINDOW).tobytes()
+        for window in WINDOWS:
+            app = make_video(WIDTH, HEIGHT, chunk=4, window=window)
+            compiled = app.compile("streaming_folded", target=target)
+            got = _stream_all(compiled, frames)
+            assert got.tobytes() == video_ref(frames, window).tobytes(), window
 
     def test_chunking_does_not_change_output(self, module_rng):
         # chunk=1 is per-frame realize; chunk=5 covers full + partial chunks.
@@ -84,12 +93,14 @@ class TestStreamParity:
 
 
 class TestBoundedMemory:
-    def _peaks(self, frames, schedule="streaming_folded", chunk=8):
-        compiled = make_video(WIDTH, HEIGHT, chunk=chunk).compile(
-            schedule, target="numpy")
+    def _peaks(self, frames, schedule="streaming_folded", chunk=8,
+               window=DEFAULT_WINDOW, target="numpy"):
+        compiled = make_video(WIDTH, HEIGHT, chunk=chunk,
+                              window=window).compile(schedule, target=target)
         stats = StreamStats()
-        for _ in realize_stream(compiled, frames, stats=stats):
-            pass
+        got = _stream_all(compiled, frames, stats=stats)
+        assert got.tobytes() == video_ref(frames, window).tobytes(), \
+            f"{schedule}/window={window}: output differs from reference"
         return stats
 
     def test_peak_is_constant_in_stream_length(self, module_rng):
@@ -100,16 +111,24 @@ class TestBoundedMemory:
         assert long.peak_by_buffer == short.peak_by_buffer
 
     def test_folded_ring_is_exactly_window_plus_one(self, module_rng):
-        stats = self._peaks(_frames(module_rng, 32))
-        assert stats.peak_by_buffer["denoise_xy"] == \
-            WIDTH * HEIGHT * (DEFAULT_WINDOW + 1) * ITEM
+        for window in WINDOWS:
+            stats = self._peaks(_frames(module_rng, 32), window=window)
+            assert stats.peak_by_buffer["denoise_xy"] == \
+                WIDTH * HEIGHT * (window + 1) * ITEM
 
     def test_static_peak_matches_measured_peak(self, module_rng):
         # The static analysis covers the uninstrumented compiled backend;
-        # it must agree with what the listeners measure under numpy.
-        for schedule in ("breadth_first", "streaming", "streaming_folded"):
-            stats = self._peaks(_frames(module_rng, 24), schedule=schedule)
-            assert stats.static_peak_bytes == stats.peak_intermediate_bytes
+        # it must agree with what the listeners measure on both
+        # instrumented backends (one 8-frame chunk on the slow interpreter:
+        # the peak is the same for any stream length, as tested above).
+        for target, count in (("numpy", 24), ("interp", 8)):
+            for window in WINDOWS:
+                for schedule in ("breadth_first", "streaming", "streaming_folded"):
+                    stats = self._peaks(_frames(module_rng, count),
+                                        schedule=schedule, window=window,
+                                        target=target)
+                    assert stats.static_peak_bytes == \
+                        stats.peak_intermediate_bytes, (target, window, schedule)
 
     @pytest.mark.parametrize("target", [
         "compiled", pytest.param("native", marks=pytest.mark.native)])
@@ -131,9 +150,11 @@ class TestBoundedMemory:
 
     def test_streaming_beats_breadth_first_memory(self, module_rng):
         frames = _frames(module_rng, 32)
-        folded = self._peaks(frames)
-        breadth = self._peaks(frames, schedule="breadth_first")
-        assert folded.peak_intermediate_bytes < breadth.peak_intermediate_bytes
+        for window in WINDOWS:
+            folded = self._peaks(frames, window=window)
+            breadth = self._peaks(frames, schedule="breadth_first", window=window)
+            assert folded.peak_intermediate_bytes < \
+                breadth.peak_intermediate_bytes, window
 
     def test_stats_bookkeeping(self, module_rng):
         stats = self._peaks(_frames(module_rng, 19), chunk=8)

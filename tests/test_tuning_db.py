@@ -259,6 +259,49 @@ class TestTunerIntegration:
         stored = next(iter(db.records()))
         assert stored.fitness_kind == "wall-seconds"
 
+    @pytest.mark.parametrize("population, generations, workers",
+                             [(8, 4, None), (6, 2, 2)])
+    def test_convergence_then_warm_start(self, tmp_path, population,
+                                         generations, workers):
+        """Section 6.1 end to end: static scoring, wall-clock pruning of each
+        generation's best, a monotone convergence curve, and a re-run from a
+        fresh database handle answered with zero evaluations of either kind."""
+        image = np.random.default_rng(20130616).random((64, 48)).astype(np.float32)
+        pipeline = Pipeline(make_blur(image).output)
+        sizes = [48, 32]
+        config = TunerConfig(population_size=population, generations=generations,
+                             seed=42, parallel_workers=workers, measure_top_k=2)
+
+        def tune():
+            evaluator = CostModelEvaluator(pipeline, sizes, profile=SMALL_CACHE_CPU)
+            measured = WallClockEvaluator(pipeline, sizes)
+            return Autotuner(pipeline, evaluator, config, measured_evaluator=measured,
+                             tuning_db=TuningDatabase(tmp_path)).run()
+
+        cold = tune()
+        history = cold.history
+        assert not cold.from_database
+        assert cold.evaluations >= population, cold.evaluations
+        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        # Within 2x of the final value by the halfway generation (the paper's
+        # "within 15% in under a day", scaled to a tiny run) ...
+        assert history[len(history) // 2] <= history[-1] * 2.0
+        # ... and better than the starting population.
+        assert history[-1] < history[0] * 1.01
+        assert 1 <= cold.wall_clock_evaluations <= \
+            config.measure_top_k * (generations + 1)
+        assert cold.best_measured_seconds is not None
+
+        warm = tune()
+        assert warm.from_database
+        assert warm.evaluations == 0 and warm.wall_clock_evaluations == 0
+        assert warm.schedule is not None
+        # The restored winner is the schedule the cold run banked: the
+        # measured best when pruning ran, otherwise the static best.
+        measured = cold.measured_schedule(pipeline)
+        banked = measured if measured is not None else cold.schedule
+        assert warm.schedule.digest() == banked.digest()
+
     def test_parallel_evaluation_matches_serial(self, blur_pipeline):
         serial = _tune(blur_pipeline, None)
         parallel = _tune(blur_pipeline, None, parallel_workers=2)
