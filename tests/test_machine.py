@@ -1,8 +1,5 @@
 """Tests for the machine model: cache simulator and cost model."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -23,7 +20,7 @@ from repro.machine import (
     estimate_cost,
 )
 from repro.machine.cache import CacheLevel
-from repro.metrics import TradeoffMetrics, measure_tradeoffs
+from repro.metrics import measure_tradeoffs
 from repro.runtime.counters import Counters
 
 
@@ -80,48 +77,9 @@ class TestCacheSimulator:
 # Section 3.1, the pass ablations, and Figure 7's x86 and GPU blocks.
 # ---------------------------------------------------------------------------
 
-def _trace(compiled, profiles, tradeoffs=False):
-    """Run ``compiled`` once on the interpreter with a CostModel per profile
-    (and the trade-off listener): estimate_cost's and measure_tradeoffs'
-    dynamic path, with one run shared by every report."""
-    listeners = {profile.name: CostModel(profile) for profile in profiles}
-    if tradeoffs:
-        listeners["tradeoffs"] = TradeoffMetrics(
-            serialized_loops=set(compiled.lowered.slides.values()))
-    compiled.run(listeners=list(listeners.values()))
-    return {name: listener.report() for name, listener in listeners.items()}
-
-
-#: Every (app, schedule, disabled pass) the comparisons read, with the
-#: profiles read from it ("tradeoffs" adds the trade-off listener); slowest
-#: rows first, so two workers finish together.
-TRACES = {
-    ("bilateral_grid", "gpu", None): (GPU_LIKE,),
-    ("bilateral_grid", "breadth_first", None): (XEON_W3520, GPU_LIKE),
-    ("bilateral_grid", "tuned", None): (XEON_W3520,),
-    ("local_laplacian", "breadth_first", None): (XEON_W3520,),
-    ("blur", "breadth_first", None): (SMALL_CACHE_CPU, XEON_W3520, GPU_LIKE),
-    ("local_laplacian", "tuned", None): (XEON_W3520,),
-    ("interpolate", "gpu", None): (GPU_LIKE,),
-    ("blur", "tuned", None): (SMALL_CACHE_CPU, XEON_W3520, "tradeoffs"),
-    ("blur", "full_fusion", None): (SMALL_CACHE_CPU,),
-    ("blur", "tuned", "vectorize"): (SMALL_CACHE_CPU,),
-    ("blur", "tuned", "sliding_window"): ("tradeoffs",),
-    ("blur", "sliding_in_tiles", None): (SMALL_CACHE_CPU,),
-    ("camera_pipe", "tuned", None): (XEON_W3520,),
-    ("blur", "sliding_window", None): (SMALL_CACHE_CPU,),
-    ("interpolate", "breadth_first", None): (XEON_W3520, GPU_LIKE),
-    ("camera_pipe", "breadth_first", None): (XEON_W3520,),
-    ("blur", "gpu", None): (GPU_LIKE,),
-    ("blur", "tiled", None): (SMALL_CACHE_CPU,),
-    ("interpolate", "tuned", None): (XEON_W3520,),
-    ("blur", "tuned", "storage_folding"): ("tradeoffs",),
-}
-
-
 def _paper_app(name):
     """(app, sizes): the 128x96 blur or one of the reduced-scale
-    applications the comparisons run on, built identically in any process."""
+    applications the comparisons run on."""
     rng = np.random.default_rng(20130616)
     blur_image = rng.random((128, 96)).astype(np.float32)
     gray = rng.random((32, 24)).astype(np.float32)
@@ -138,48 +96,45 @@ def _paper_app(name):
     }[name]()
 
 
-def _trace_row(key):
-    app_name, schedule, disabled = key
-    app, sizes = _paper_app(app_name)
-    options = LoweringOptions(**{disabled: False}) if disabled else None
-    compiled = app.pipeline().compile(
-        sizes, schedule=app.named_schedule(schedule), target="interp",
-        options=options)
-    wanted = TRACES[key]
-    return _trace(compiled, [p for p in wanted if p != "tradeoffs"],
-                  tradeoffs="tradeoffs" in wanted)
+@pytest.fixture(scope="module")
+def cost():
+    """Memoised dynamic-model report of one (app, named schedule, profile),
+    optionally with one lowering pass disabled: each comparison below reads
+    one ``estimate_cost`` interpreter run, shared by every test that asks."""
+    reports = {}
+
+    def report(app_name, schedule, profile, disabled=None):
+        key = (app_name, schedule, profile.name, disabled)
+        if key not in reports:
+            app, sizes = _paper_app(app_name)
+            reports[key] = estimate_cost(
+                app.pipeline(), sizes, schedule=app.named_schedule(schedule),
+                options=LoweringOptions(**{disabled: False}) if disabled else None,
+                profile=profile)
+        return reports[key]
+
+    return report
 
 
 @pytest.fixture(scope="module")
-def traced():
-    """The reports of every TRACES row, keyed by profile name.  The rows are
-    independent single-threaded interpreter runs, so two worker processes
-    take them in turn."""
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        reports = dict(zip(TRACES, pool.map(_trace_row, TRACES)))
-    return lambda app_name, schedule, disabled=None: \
-        reports[app_name, schedule, disabled]
+def blur_tradeoffs():
+    """Memoised ``measure_tradeoffs`` of the tuned 128x96 blur, optionally
+    with one lowering pass disabled."""
+    reports = {}
+
+    def report(disabled=None):
+        if disabled not in reports:
+            app, sizes = _paper_app("blur")
+            reports[disabled] = measure_tradeoffs(
+                app.pipeline(), sizes, schedule=app.named_schedule("tuned"),
+                options=LoweringOptions(**{disabled: False}) if disabled else None)
+        return reports[disabled]
+
+    return report
 
 
-def test_one_trace_gives_each_profile_its_estimate_cost_report():
-    """The shared run above is exactly estimate_cost + measure_tradeoffs."""
-    app = make_blur(np.random.default_rng(5).random((16, 12)).astype(np.float32))
-    schedule = app.named_schedule("tuned")
-    compiled = app.pipeline().compile([16, 12], schedule=schedule, target="interp")
-    shared = _trace(compiled, [SMALL_CACHE_CPU, GPU_LIKE], tradeoffs=True)
-    for profile in (SMALL_CACHE_CPU, GPU_LIKE):
-        alone = estimate_cost(app.pipeline(), [16, 12], schedule=schedule,
-                              profile=profile)
-        assert shared[profile.name].as_dict() == alone.as_dict()
-    alone = measure_tradeoffs(app.pipeline(), [16, 12], schedule=schedule)
-    assert (shared["tradeoffs"].total_ops, shared["tradeoffs"].span,
-            shared["tradeoffs"].peak_footprint_bytes) == \
-        (alone.total_ops, alone.span, alone.peak_footprint_bytes)
-
-
-def _ms(traced, app_name, schedule, profile, disabled=None):
-    return traced(app_name, schedule, disabled)[profile.name].milliseconds
+def _ms(cost, app_name, schedule, profile, disabled=None):
+    return cost(app_name, schedule, profile, disabled).milliseconds
 
 
 class TestCostModel:
@@ -187,9 +142,9 @@ class TestCostModel:
     def image(self):
         return np.random.default_rng(3).random((96, 64)).astype(np.float32)
 
-    def test_tiled_beats_breadth_first(self, traced):
-        breadth = traced("blur", "breadth_first")[SMALL_CACHE_CPU.name]
-        tiled = traced("blur", "tiled")[SMALL_CACHE_CPU.name]
+    def test_tiled_beats_breadth_first(self, cost):
+        breadth = cost("blur", "breadth_first", SMALL_CACHE_CPU)
+        tiled = cost("blur", "tiled", SMALL_CACHE_CPU)
         assert tiled.cycles < breadth.cycles
 
     def test_parallelism_reduces_cycles(self, image):
@@ -199,17 +154,17 @@ class TestCostModel:
                                  schedule=app.named_schedule("tiled"), profile=XEON_W3520)
         assert parallel.cycles < serial.cycles
 
-    def test_report_fields(self, traced):
-        report = traced("blur", "tiled")[SMALL_CACHE_CPU.name]
+    def test_report_fields(self, cost):
+        report = cost("blur", "tiled", SMALL_CACHE_CPU)
         data = report.as_dict()
         assert data["cycles"] > 0
         assert data["milliseconds"] > 0
         assert data["l1_hits"] + data["l1_misses"] > 0
         assert report.ops > 0
 
-    def test_gpu_profile_rewards_gpu_schedule(self, traced):
-        gpu_cost = traced("blur", "gpu")[GPU_LIKE.name]
-        serial_on_gpu = traced("blur", "breadth_first")[GPU_LIKE.name]
+    def test_gpu_profile_rewards_gpu_schedule(self, cost):
+        gpu_cost = cost("blur", "gpu", GPU_LIKE)
+        serial_on_gpu = cost("blur", "breadth_first", GPU_LIKE)
         assert gpu_cost.cycles < serial_on_gpu.cycles
 
     def test_cost_model_listener_composes_with_counters(self, image):
@@ -228,23 +183,23 @@ class TestScheduleSpace:
                   "sliding_in_tiles", "tuned")
 
     @pytest.mark.parametrize("strategy", ["tiled", "tuned"])
-    def test_locality_schedules_beat_breadth_first_3x(self, traced, strategy):
-        breadth = _ms(traced, "blur", "breadth_first", SMALL_CACHE_CPU)
-        assert breadth / _ms(traced, "blur", strategy, SMALL_CACHE_CPU) > 3.0
+    def test_locality_schedules_beat_breadth_first_3x(self, cost, strategy):
+        breadth = _ms(cost, "blur", "breadth_first", SMALL_CACHE_CPU)
+        assert breadth / _ms(cost, "blur", strategy, SMALL_CACHE_CPU) > 3.0
 
     @pytest.mark.parametrize("other", ["full_fusion", "sliding_window"])
-    def test_tiled_beats_pure_fusion_and_pure_sliding(self, traced, other):
-        assert _ms(traced, "blur", "tiled", SMALL_CACHE_CPU) < \
-            _ms(traced, "blur", other, SMALL_CACHE_CPU)
+    def test_tiled_beats_pure_fusion_and_pure_sliding(self, cost, other):
+        assert _ms(cost, "blur", "tiled", SMALL_CACHE_CPU) < \
+            _ms(cost, "blur", other, SMALL_CACHE_CPU)
 
-    def test_static_model_agrees_with_simulation(self, traced):
+    def test_static_model_agrees_with_simulation(self, cost):
         """Identical counts on every strategy; the tiled family fills the
         top three (its members are within a few percent of each other here,
         so the estimators may permute them) and the tail order is equal."""
         app, sizes = _paper_app("blur")
         dynamic, static = {}, {}
         for strategy in self.STRATEGIES:
-            dynamic[strategy] = traced("blur", strategy)[SMALL_CACHE_CPU.name]
+            dynamic[strategy] = cost("blur", strategy, SMALL_CACHE_CPU)
             static[strategy] = estimate_cost(
                 app.pipeline(), sizes, schedule=app.named_schedule(strategy),
                 profile=SMALL_CACHE_CPU, mode="static")
@@ -263,22 +218,21 @@ class TestPassAblations:
     """Disabling one lowering pass on the tuned 128x96 blur costs what the
     paper says the pass buys."""
 
-    def test_sliding_window_avoids_recomputation(self, traced):
-        assert traced("blur", "tuned", "sliding_window")["tradeoffs"].total_ops >= \
-            traced("blur", "tuned")["tradeoffs"].total_ops
+    def test_sliding_window_avoids_recomputation(self, blur_tradeoffs):
+        assert blur_tradeoffs("sliding_window").total_ops >= \
+            blur_tradeoffs().total_ops
 
-    def test_storage_folding_shrinks_the_footprint(self, traced):
-        assert traced("blur", "tuned", "storage_folding")["tradeoffs"] \
-            .peak_footprint_bytes >= \
-            traced("blur", "tuned")["tradeoffs"].peak_footprint_bytes
+    def test_storage_folding_shrinks_the_footprint(self, blur_tradeoffs):
+        assert blur_tradeoffs("storage_folding").peak_footprint_bytes >= \
+            blur_tradeoffs().peak_footprint_bytes
 
-    def test_vectorization_reduces_model_time(self, traced):
-        assert _ms(traced, "blur", "tuned", SMALL_CACHE_CPU, "vectorize") >= \
-            _ms(traced, "blur", "tuned", SMALL_CACHE_CPU) * 0.99
+    def test_vectorization_reduces_model_time(self, cost):
+        assert _ms(cost, "blur", "tuned", SMALL_CACHE_CPU, "vectorize") >= \
+            _ms(cost, "blur", "tuned", SMALL_CACHE_CPU) * 0.99
 
-    def test_all_passes_beat_breadth_first(self, traced):
-        assert _ms(traced, "blur", "tuned", SMALL_CACHE_CPU) < \
-            _ms(traced, "blur", "breadth_first", SMALL_CACHE_CPU)
+    def test_all_passes_beat_breadth_first(self, cost):
+        assert _ms(cost, "blur", "tuned", SMALL_CACHE_CPU) < \
+            _ms(cost, "blur", "breadth_first", SMALL_CACHE_CPU)
 
 
 class TestFigure7:
@@ -288,9 +242,9 @@ class TestFigure7:
     @pytest.mark.parametrize("app_name, floor", [
         ("blur", 1.2), ("bilateral_grid", 1.0), ("camera_pipe", 1.0),
         ("interpolate", 1.0), ("local_laplacian", 1.0)])
-    def test_tuned_beats_breadth_first_on_x86(self, traced, app_name, floor):
-        speedup = _ms(traced, app_name, "breadth_first", XEON_W3520) / \
-            _ms(traced, app_name, "tuned", XEON_W3520)
+    def test_tuned_beats_breadth_first_on_x86(self, cost, app_name, floor):
+        speedup = _ms(cost, app_name, "breadth_first", XEON_W3520) / \
+            _ms(cost, app_name, "tuned", XEON_W3520)
         assert speedup > 1.0 and speedup >= floor, speedup
 
     # Blur's row is TestCostModel.test_gpu_profile_rewards_gpu_schedule.  The
@@ -298,11 +252,11 @@ class TestFigure7:
     # plus launch overhead; it need only stay in the same ballpark.
     @pytest.mark.parametrize("app_name, floor", [
         ("interpolate", 1.0), ("bilateral_grid", 0.5)])
-    def test_gpu_schedule_beats_naive_on_gpu(self, traced, app_name, floor):
-        speedup = _ms(traced, app_name, "breadth_first", GPU_LIKE) / \
-            _ms(traced, app_name, "gpu", GPU_LIKE)
+    def test_gpu_schedule_beats_naive_on_gpu(self, cost, app_name, floor):
+        speedup = _ms(cost, app_name, "breadth_first", GPU_LIKE) / \
+            _ms(cost, app_name, "gpu", GPU_LIKE)
         assert speedup > floor, speedup
 
-    def test_gpu_beats_tuned_cpu_on_blur(self, traced):
-        assert _ms(traced, "blur", "tuned", XEON_W3520) / \
-            _ms(traced, "blur", "gpu", GPU_LIKE) > 1.0
+    def test_gpu_beats_tuned_cpu_on_blur(self, cost):
+        assert _ms(cost, "blur", "tuned", XEON_W3520) / \
+            _ms(cost, "blur", "gpu", GPU_LIKE) > 1.0

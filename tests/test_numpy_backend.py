@@ -23,7 +23,7 @@ from repro.runtime import backend_names, get_backend
 from repro.runtime.executor import Executor
 from repro.types import Float, Int
 
-from test_compiled_backend import _app_cases
+from test_compiled_backend import _app_cases, _interp_reference
 
 
 @pytest.fixture
@@ -52,7 +52,6 @@ def _blur():
 
 
 def _parity_cases():
-    makers = dict(_app_cases(), blur=_blur)
     schedules = {
         "blur": ["breadth_first", "full_fusion", "sliding_window", "tiled", "tuned"],
         "unsharp": ["breadth_first", "tuned", "_split_guarded"],
@@ -64,15 +63,20 @@ def _parity_cases():
     }
     for name, names in schedules.items():
         for schedule in names:
-            yield pytest.param(makers[name], schedule, id=f"{name}-{schedule}")
+            yield pytest.param(name, schedule, id=f"{name}-{schedule}")
 
 
-@pytest.mark.parametrize("maker, schedule", _parity_cases())
-def test_backend_parity(maker, schedule):
-    app, sizes = maker()
+@pytest.mark.parametrize("app_name, schedule", _parity_cases())
+def test_backend_parity(app_name, schedule):
+    app, sizes = dict(_app_cases(), blur=_blur)[app_name]()
     if schedule == "_split_guarded":
         schedule = _split_guarded(app)
-    reference = app.compile(schedule, sizes, target="interp").run()
+    if app_name == "blur" or not isinstance(schedule, str):
+        reference = app.compile(schedule, sizes, target="interp").run()
+    else:
+        # The same inputs and named schedule as test_compiled_backend's
+        # parity suite: share its interpreter reference.
+        reference = _interp_reference(app_name, schedule)
     output = app.compile(schedule, sizes, target="numpy").run()
     assert_images_identical(output, reference)
 

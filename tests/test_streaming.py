@@ -49,15 +49,17 @@ class TestStreamParity:
     @pytest.mark.parametrize("target", [
         "interp", "numpy", "compiled",
         pytest.param(Target("compiled", threads=2), id="compiled-t2"),
+        pytest.param("native", marks=pytest.mark.native),
         pytest.param(Target("native", threads=2), id="native-t2",
                      marks=pytest.mark.native)])
     def test_bit_identical_to_reference_all_backends(self, module_rng, target):
         frames = _frames(module_rng, 10)  # chunk=4: two full chunks + a tail
         for window in WINDOWS:
             app = make_video(WIDTH, HEIGHT, chunk=4, window=window)
-            compiled = app.compile("streaming_folded", target=target)
-            got = _stream_all(compiled, frames)
-            assert got.tobytes() == video_ref(frames, window).tobytes(), window
+            expected = video_ref(frames, window).tobytes()
+            for schedule in ("breadth_first", "streaming", "streaming_folded"):
+                got = _stream_all(app.compile(schedule, target=target), frames)
+                assert got.tobytes() == expected, (schedule, window)
 
     def test_chunking_does_not_change_output(self, module_rng):
         # chunk=1 is per-frame realize; chunk=5 covers full + partial chunks.
