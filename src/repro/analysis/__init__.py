@@ -15,7 +15,6 @@ from repro.analysis.static_cost import (
     StaticAnalysisError,
     StaticCostAnalyzer,
     analyze_lowered,
-    estimate_cost_static,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "StaticAnalysisError",
     "StaticCostAnalyzer",
     "analyze_lowered",
-    "estimate_cost_static",
 ]

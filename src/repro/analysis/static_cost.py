@@ -1,11 +1,9 @@
 """Static cost analysis of lowered pipelines (no execution).
 
-The dynamic :class:`~repro.machine.cost_model.CostModel` listens to the
-interpreter's per-operation event stream — exact, but it costs a full
-interpreted execution per estimate, which makes it the slowest part of the
-autotuner by orders of magnitude.  This pass computes the same
+This pass computes the machine model's
 :class:`~repro.machine.cost_model.CostReport` by *walking the lowered
-Stmt/Expr tree*:
+Stmt/Expr tree* — an estimate costs one tree walk, not an interpreted run,
+which is what makes it usable as the autotuner's fitness function:
 
 * **Operation counts are exact.**  The walker mirrors the interpreter's event
   semantics precisely — which nodes emit an arithmetic event (binary
@@ -23,18 +21,17 @@ Stmt/Expr tree*:
   per-buffer stride/footprint summaries: how far the site advances per
   iteration, the total span it touches, and — for loops that *re*-touch the
   same region — the working set between reuses.  The report phase classifies
-  the resulting line traffic against the profile's cache geometry (the same
-  L1/L2 sizes and line length the :class:`~repro.machine.cache.CacheSimulator`
-  uses) into spatial L1 hits, temporal hits at the level whose capacity holds
-  the reuse working set, and compulsory memory misses.
-* **Parallel structure is charged identically** to the dynamic model: work
-  inside ``ForType.PARALLEL``/GPU loops is divided by
-  ``min(product of open parallel extents, cores)`` and each parallel-loop
-  entry pays the profile's dispatch overhead.
+  the resulting line traffic against the profile's cache geometry (L1/L2
+  sizes and line length) into spatial L1 hits, temporal hits at the level
+  whose capacity holds the reuse working set, and compulsory memory misses.
+* **Parallel structure:** work inside ``ForType.PARALLEL``/GPU loops is
+  divided by ``min(product of open parallel extents, cores)`` and each
+  parallel-loop entry pays the profile's dispatch overhead.
 
-``ops``/``loads``/``stores`` match the dynamic model exactly (property-tested
-across fuzz-generated pipelines); cycle totals are analytic estimates whose
-*ordering* of schedules matches the trace-driven simulation — which is what
+Whenever the analyzer reports ``exact``, ``ops``/``loads``/``stores`` equal
+the interpreter's :class:`~repro.runtime.counters.Counters` (``arith_ops``,
+``loads``, ``stores``) — property-tested across fuzz-generated pipelines;
+cycle totals are analytic estimates whose *ordering* of schedules is what
 the autotuner needs from a fitness function.
 """
 
@@ -53,7 +50,6 @@ __all__ = [
     "StaticAnalysisError",
     "StaticCostAnalyzer",
     "analyze_lowered",
-    "estimate_cost_static",
 ]
 
 
@@ -160,8 +156,7 @@ class StaticCostAnalyzer:
         self._stmt(stmt, 1)
 
     def report(self):
-        from repro.machine.cache import CacheStats
-        from repro.machine.cost_model import CostReport
+        from repro.machine.cost_model import CacheStats, CostReport
 
         profile = self.profile
         line = profile.cache_line_bytes
@@ -174,8 +169,8 @@ class StaticCostAnalyzer:
             elems_per_line = max(1, line // eb)
             capacity = self.buffer_elems.get(site.buffer)
 
-            # Cache accesses per execution: the dynamic model touches each
-            # distinct line of a vector access once, every scalar access once.
+            # Cache accesses per execution: each distinct line of a vector
+            # access once, every scalar access once.
             if site.lanes <= 1:
                 per_exec_lines = 1
             elif site.ramp_stride is None:
@@ -796,8 +791,8 @@ def analyze_lowered(lowered, profile=None, *, sizes: Optional[Sequence[int]] = N
     """Statically analyze a :class:`~repro.compiler.lower.LoweredPipeline`.
 
     ``sizes`` supplies the output bounds when the lowering did not already
-    substitute them (``compile()`` always does).  Returns the same
-    :class:`~repro.machine.cost_model.CostReport` the dynamic model produces.
+    substitute them (``compile()`` always does).  Returns a
+    :class:`~repro.machine.cost_model.CostReport`.
     ``analyzer_out``, when given, receives the analyzer (exposes ``exact``
     and ``peak_alloc_bytes`` for callers that want more than the report).
     """
@@ -821,25 +816,3 @@ def analyze_lowered(lowered, profile=None, *, sizes: Optional[Sequence[int]] = N
         analyzer_out.append(analyzer)
     return analyzer.report()
 
-
-def estimate_cost_static(pipeline, sizes: Sequence[int], *,
-                         schedule=None, options=None,
-                         params=None, profile=None, target=None):
-    """Compile (cached) and statically analyze ``pipeline`` at ``sizes``.
-
-    The drop-in static counterpart of
-    :func:`repro.machine.cost_model.estimate_cost`: same arguments, same
-    :class:`~repro.machine.cost_model.CostReport`, no execution.
-    """
-    from repro.machine.profiles import XEON_W3520
-    from repro.pipeline import Pipeline
-    from repro.runtime.target import Target
-
-    if not isinstance(pipeline, Pipeline):
-        pipeline = Pipeline(pipeline)
-    if profile is None:
-        profile = Target.resolve(target).machine_profile() if target is not None \
-            else XEON_W3520
-    compiled = pipeline.compile(sizes, schedule=schedule, options=options,
-                                target="interp")
-    return analyze_lowered(compiled.lowered, profile, sizes=sizes, params=params)

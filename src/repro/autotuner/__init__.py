@@ -5,10 +5,9 @@ random valid schedules and domain-informed "reasonable" schedules seed the
 population; each generation is built from elitism, tournament + two-point
 crossover, mutation (including the loop-fusion and template rules the paper
 describes), and fresh random individuals; candidates are validated by
-attempting to lower them and scored by the static cost model (default), the
-interpreter-event model, or wall-clock time.  Generations can be scored
-concurrently in worker processes, the statically-best survivors can be
-pruned into wall-clock measurements, and winners persist in a tuning
+attempting to lower them and scored by the static cost model or by
+wall-clock time.  The statically-best survivors can be pruned into
+wall-clock measurements, and winners persist in a tuning
 database (``REPRO_TUNE_DB``) that warm-starts later runs and ships
 pre-tuned defaults for the seven paper apps.  See ``docs/autotuning.md``.
 """

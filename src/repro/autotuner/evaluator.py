@@ -3,12 +3,9 @@
 Two evaluators are provided:
 
 * :class:`CostModelEvaluator` — scores candidates with the abstract machine
-  model.  In its default ``mode="static"`` the score comes from
-  :func:`repro.analysis.static_cost.analyze_lowered` — a walk of the lowered
-  IR that never executes the pipeline, so a candidate costs microseconds to
-  score instead of a full interpreted run.  ``mode="dynamic"`` keeps the
-  interpreter-event model as a cross-check (tests assert the two agree on
-  op/load/store counts and schedule ordering).
+  model: :func:`repro.machine.cost_model.estimate_cost` walks the lowered IR
+  without executing the pipeline, so a candidate costs about as much to
+  score as a compile-cache lookup.
 * :class:`WallClockEvaluator` — times real executions, matching the paper's
   use of measured running time.  By default it runs candidates on the
   ``native`` compile-to-C backend when a C toolchain is available (timing the
@@ -17,11 +14,11 @@ Two evaluators are provided:
   faster than the interpreter and bit-identical to it) otherwise; both reward
   ``.parallel()`` directives with real wall time.
 
-The executing evaluators verify the candidate's output against the reference
-schedule's output (Section 5: "we also verify the program output against a
-correct reference schedule"); the static mode cannot (nothing runs), which is
-fine because lowering legality is checked either way and measured survivors
-are re-verified by the wall-clock stage.
+The wall-clock evaluator verifies the candidate's output against the
+reference schedule's output (Section 5: "we also verify the program output
+against a correct reference schedule").  The cost model cannot (nothing
+runs), which is fine because lowering legality is checked either way and
+measured survivors are re-verified by the wall-clock stage.
 
 Candidate *rejections* — the documented scheduling errors
 (:class:`ScheduleError`, :class:`VectorizeError`, :class:`UnrollError`) — are
@@ -40,8 +37,8 @@ import numpy as np
 from repro.compiler.unroll import UnrollError
 from repro.compiler.vectorize import VectorizeError
 from repro.core.schedule import ScheduleError
-from repro.machine.cost_model import CostModel
-from repro.machine.profiles import MachineProfile, XEON_W3520
+from repro.machine.cost_model import estimate_cost
+from repro.machine.profiles import MachineProfile
 from repro.pipeline import Pipeline
 from repro.runtime.target import Target
 
@@ -75,40 +72,13 @@ class EvaluationResult:
 
 class _BaseEvaluator:
     def __init__(self, pipeline: Pipeline, sizes: Sequence[int],
-                 params: Optional[Dict[str, object]] = None,
-                 inputs: Optional[Dict[str, np.ndarray]] = None,
-                 verify: bool = True, tolerance: float = 1e-4,
-                 target=None):
+                 params: Optional[Dict[str, object]] = None, target=None):
         self.pipeline = pipeline
         self.sizes = list(sizes)
         self.params = params
-        self.inputs = inputs
-        self.verify = verify
-        self.tolerance = tolerance
         #: The execution target, resolved early so an unknown backend fails
         #: here, not mid-search.
         self.target = Target.resolve(target)
-        self._reference_output: Optional[np.ndarray] = None
-
-    def _run(self, schedule=None, listeners=()) -> np.ndarray:
-        compiled = self.pipeline.compile(self.sizes, schedule=schedule,
-                                         target=self.target)
-        return compiled.run(params=self.params, inputs=self.inputs,
-                            listeners=listeners)
-
-    def reference_output(self) -> np.ndarray:
-        """The output of the default (breadth-first-ish) schedule, computed once."""
-        if self._reference_output is None:
-            self._reference_output = self._run()
-        return self._reference_output
-
-    def _check(self, output: np.ndarray) -> bool:
-        if not self.verify:
-            return True
-        reference = self.reference_output()
-        if output.shape != reference.shape:
-            return False
-        return bool(np.allclose(output, reference, rtol=self.tolerance, atol=self.tolerance))
 
     def evaluate_schedules(self, schedule) -> EvaluationResult:
         """Score one candidate :class:`~repro.core.Schedule`."""
@@ -118,49 +88,28 @@ class _BaseEvaluator:
 class CostModelEvaluator(_BaseEvaluator):
     """Scores candidates by estimated cycles on a machine profile.
 
-    ``mode="static"`` (the default) lowers the candidate and scores the IR
-    with :func:`repro.analysis.static_cost.analyze_lowered` — no execution at
-    all, so one evaluation costs about as much as a compile-cache lookup.
-    ``mode="dynamic"`` runs the interpreter backend and feeds the cost model
-    from the per-operation event stream (only the scalar interpreter reports
-    events exactly; the NumPy backend batches them); it also verifies the
-    candidate's output, which the static mode cannot.
+    Each candidate is lowered, never executed, and scored by
+    :func:`~repro.machine.cost_model.estimate_cost`.  ``profile`` defaults to
+    the target's own (:meth:`~repro.runtime.target.Target.machine_profile`),
+    so a tuning run filed under a target's key is scored on that target's
+    machine.
     """
 
     def __init__(self, pipeline: Pipeline, sizes: Sequence[int],
-                 profile: MachineProfile = XEON_W3520,
-                 mode: str = "static", **kwargs):
-        kwargs.setdefault("target", "interp")
-        super().__init__(pipeline, sizes, **kwargs)
-        if mode not in ("static", "dynamic"):
-            raise ValueError(f"unknown cost-model mode {mode!r}; "
-                             "expected 'static' or 'dynamic'")
-        self.profile = profile
-        self.mode = mode
-
-    def _evaluate_static(self, schedule) -> EvaluationResult:
-        from repro.analysis.static_cost import analyze_lowered
-
-        compiled = self.pipeline.compile(self.sizes, schedule=schedule,
-                                         target=self.target)
-        report = analyze_lowered(compiled.lowered, self.profile,
-                                 sizes=self.sizes, params=self.params)
-        return EvaluationResult(report.cycles, True)
-
-    def _evaluate_dynamic(self, schedule) -> EvaluationResult:
-        model = CostModel(self.profile)
-        output = self._run(schedule, listeners=[model])
-        if not self._check(output):
-            return EvaluationResult(INVALID_FITNESS, False, "output mismatch")
-        return EvaluationResult(model.report().cycles, True)
+                 profile: Optional[MachineProfile] = None,
+                 params: Optional[Dict[str, object]] = None,
+                 target="interp"):
+        super().__init__(pipeline, sizes, params=params, target=target)
+        self.profile = profile if profile is not None \
+            else self.target.machine_profile()
 
     def evaluate_schedules(self, schedule) -> EvaluationResult:
         try:
-            if self.mode == "static":
-                return self._evaluate_static(schedule)
-            return self._evaluate_dynamic(schedule)
+            report = estimate_cost(self.pipeline, self.sizes, schedule=schedule,
+                                   profile=self.profile, params=self.params)
         except REJECTION_ERRORS as error:
             return EvaluationResult(INVALID_FITNESS, False, str(error))
+        return EvaluationResult(report.cycles, True)
 
 
 class WallClockEvaluator(_BaseEvaluator):
@@ -175,16 +124,41 @@ class WallClockEvaluator(_BaseEvaluator):
     to time a specific backend instead.  Compilation happens *outside* the
     timed region (matching the paper, which measures run time of compiled
     programs), so a candidate's fitness is independent of whether its
-    compilation was already cached.
+    compilation was already cached.  With ``verify`` (the default) each
+    candidate's output must match the default schedule's within
+    ``tolerance``, or it scores invalid.
     """
 
-    def __init__(self, pipeline: Pipeline, sizes: Sequence[int], repeats: int = 1, **kwargs):
+    def __init__(self, pipeline: Pipeline, sizes: Sequence[int], repeats: int = 1,
+                 params: Optional[Dict[str, object]] = None,
+                 inputs: Optional[Dict[str, np.ndarray]] = None,
+                 verify: bool = True, tolerance: float = 1e-4, target=None):
         from repro.codegen.c_toolchain import toolchain_available
 
-        kwargs.setdefault("target",
-                          "native" if toolchain_available() else "compiled")
-        super().__init__(pipeline, sizes, **kwargs)
+        if target is None:
+            target = "native" if toolchain_available() else "compiled"
+        super().__init__(pipeline, sizes, params=params, target=target)
         self.repeats = max(1, repeats)
+        self.inputs = inputs
+        self.verify = verify
+        self.tolerance = tolerance
+        self._reference_output: Optional[np.ndarray] = None
+
+    def reference_output(self) -> np.ndarray:
+        """The output of the default (breadth-first-ish) schedule, computed once."""
+        if self._reference_output is None:
+            compiled = self.pipeline.compile(self.sizes, target=self.target)
+            self._reference_output = compiled.run(params=self.params,
+                                                  inputs=self.inputs)
+        return self._reference_output
+
+    def _check(self, output: np.ndarray) -> bool:
+        if not self.verify:
+            return True
+        reference = self.reference_output()
+        if output.shape != reference.shape:
+            return False
+        return bool(np.allclose(output, reference, rtol=self.tolerance, atol=self.tolerance))
 
     def evaluate_schedules(self, schedule) -> EvaluationResult:
         try:

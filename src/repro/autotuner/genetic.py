@@ -6,13 +6,8 @@ describes (which in turn derives from the PetaBricks tuner).  Invalid
 schedules — ones that fail validation, lowering, or the output check — are
 rejected and resampled.
 
-Beyond the paper's serial loop, this driver supports production-scale search:
+Beyond the paper's loop, this tuner supports production-scale search:
 
-* **Parallel evaluation** — with ``TunerConfig.parallel_workers`` set and a
-  static-mode :class:`~repro.autotuner.evaluator.CostModelEvaluator`, each
-  generation's candidates are scored concurrently in forked worker processes
-  (the pipeline is inherited through the fork; only schedule dicts cross the
-  process boundary).
 * **Cost-model pruning** — pass ``measured_evaluator`` (typically a
   :class:`~repro.autotuner.evaluator.WallClockEvaluator`) and only the
   ``measure_top_k`` statically-best survivors of each generation get
@@ -42,7 +37,6 @@ from repro.analysis.call_graph import build_environment, find_direct_calls
 from repro.autotuner.crossover import crossover_genomes, tournament_select
 from repro.autotuner.evaluator import (
     INVALID_FITNESS,
-    REJECTION_ERRORS,
     CostModelEvaluator,
     _BaseEvaluator,
 )
@@ -77,11 +71,6 @@ class TunerConfig:
     gpu: bool = False
     #: Maximum resampling attempts when a generated individual is invalid.
     max_resample_attempts: int = 10
-    #: Worker processes for scoring a generation concurrently (None/0/1 =
-    #: serial).  Requires a static-mode CostModelEvaluator and a platform
-    #: with fork (the pipeline is inherited by the workers); anything else
-    #: silently falls back to serial evaluation.
-    parallel_workers: Optional[int] = None
     #: When a ``measured_evaluator`` is attached, how many of each
     #: generation's statically-best candidates get wall-clock measurements.
     measure_top_k: int = 3
@@ -143,30 +132,6 @@ class AutotuneResult:
             env, pipeline.output_function.name)
 
 
-#: Fork-inherited state for parallel evaluation: set in the parent right
-#: before its worker pool is created, so forked children see the pipeline
-#: without pickling it (IR trees hold numpy buffers and closures).
-_WORKER_PIPELINE: Optional[Pipeline] = None
-
-
-def _worker_score(payload):
-    """Score one schedule dict in a forked worker (static cost model only)."""
-    schedule_dict, sizes, params, profile = payload
-    from repro.analysis.static_cost import estimate_cost_static
-    from repro.core.pipeline_schedule import Schedule
-
-    try:
-        schedule = Schedule.from_dict(schedule_dict)
-        report = estimate_cost_static(_WORKER_PIPELINE, sizes,
-                                      schedule=schedule, params=params,
-                                      profile=profile)
-        return ("ok", report.cycles, None)
-    except REJECTION_ERRORS as error:
-        return ("invalid", None, str(error))
-    except Exception as error:  # noqa: BLE001 — classified by the parent
-        return ("internal", None, f"{type(error).__name__}: {error}")
-
-
 class Autotuner:
     """Stochastic search over schedules for one pipeline."""
 
@@ -189,7 +154,6 @@ class Autotuner:
         self.wall_clock_evaluations = 0
         #: schedule digest -> (genome, measured seconds); filled by pruning.
         self._measured: Dict[str, Tuple[ScheduleGenome, float]] = {}
-        self._pool = None
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -223,17 +187,6 @@ class Autotuner:
         except (ScheduleError, ValueError):
             return None
 
-    def _score_schedule(self, schedule) -> float:
-        """One evaluator call with the rejection/internal-error split applied."""
-        try:
-            result = self.evaluator.evaluate_schedules(schedule)
-        except Exception as error:  # noqa: BLE001 — see _note_internal_error
-            self._note_internal_error(error)
-            return INVALID_FITNESS
-        if not result.valid:
-            self.invalid_candidates += 1
-        return result.fitness
-
     def _note_internal_error(self, error) -> None:
         """A non-rejection exception escaped evaluation: a compiler bug, per
         PR 5's contract.  Count it apart from invalid candidates and warn so
@@ -246,115 +199,31 @@ class Autotuner:
             RuntimeWarning, stacklevel=3)
 
     def _evaluate(self, genome: ScheduleGenome) -> float:
+        """One evaluator call with the rejection/internal-error split applied."""
         self.evaluations += 1
         schedule = self._materialize(genome)
         if schedule is None:
             self.invalid_candidates += 1
             return INVALID_FITNESS
-        return self._score_schedule(schedule)
-
-    # ------------------------------------------------------------------
-    # parallel generation scoring
-    # ------------------------------------------------------------------
-    def _parallel_workers(self) -> int:
-        """How many worker processes to use (0 = stay serial)."""
-        import os
-
-        workers = self.config.parallel_workers
-        if not workers or workers <= 1:
-            return 0
-        if os.environ.get("REPRO_DISABLE_PROCESS_POOL"):
-            return 0
-        # Only the static cost model can be evaluated in a worker: its score
-        # is a pure function of (pipeline, schedule, sizes, profile), all of
-        # which fork cleanly.  Dynamic/wall-clock evaluators verify outputs
-        # against parent-side state and time parent-side machinery.
-        if not (isinstance(self.evaluator, CostModelEvaluator)
-                and self.evaluator.mode == "static"):
-            return 0
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 0
-        return int(workers)
-
-    def _get_pool(self, workers: int):
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            global _WORKER_PIPELINE
-            _WORKER_PIPELINE = self.pipeline
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"))
-        return self._pool
-
-    def _shutdown_pool(self) -> None:
-        global _WORKER_PIPELINE
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        _WORKER_PIPELINE = None
-
-    def _evaluate_batch(self, genomes: Sequence[ScheduleGenome]) -> List[float]:
-        """Fitness for each genome; concurrent across workers when enabled."""
-        workers = self._parallel_workers()
-        fitnesses = [INVALID_FITNESS] * len(genomes)
-        runnable: List[Tuple[int, object]] = []
-        for index, genome in enumerate(genomes):
-            self.evaluations += 1
-            schedule = self._materialize(genome)
-            if schedule is None:
-                self.invalid_candidates += 1
-            else:
-                runnable.append((index, schedule))
-        if not workers or len(runnable) < 2:
-            for index, schedule in runnable:
-                fitnesses[index] = self._score_schedule(schedule)
-            return fitnesses
-        pool = self._get_pool(workers)
-        evaluator = self.evaluator
-        payloads = [(schedule.to_dict(), evaluator.sizes, evaluator.params,
-                     evaluator.profile) for _, schedule in runnable]
         try:
-            outcomes = list(pool.map(_worker_score, payloads))
-        except Exception as error:  # pool died (e.g. fork-hostile platform)
-            self._shutdown_pool()
+            result = self.evaluator.evaluate_schedules(schedule)
+        except Exception as error:  # noqa: BLE001 — see _note_internal_error
             self._note_internal_error(error)
-            for index, schedule in runnable:
-                fitnesses[index] = self._score_schedule(schedule)
-            return fitnesses
-        for (index, _schedule), (status, cycles, message) in zip(runnable, outcomes):
-            if status == "ok":
-                fitnesses[index] = cycles
-            elif status == "invalid":
-                self.invalid_candidates += 1
-            else:
-                self._note_internal_error(message)
-        return fitnesses
-
-    def _valid_individual(self, generator: Callable[[], ScheduleGenome]
-                          ) -> Tuple[ScheduleGenome, float]:
-        """Sample until a valid individual is found (bounded attempts)."""
-        genome = generator()
-        fitness = self._evaluate(genome)
-        attempts = 0
-        while fitness == INVALID_FITNESS and attempts < self.config.max_resample_attempts:
-            genome = generator()
-            fitness = self._evaluate(genome)
-            attempts += 1
-        return genome, fitness
+            return INVALID_FITNESS
+        if not result.valid:
+            self.invalid_candidates += 1
+        return result.fitness
 
     def _valid_batch(self, generators: Sequence[Callable[[], ScheduleGenome]]
                      ) -> List[Tuple[ScheduleGenome, float]]:
-        """One individual per generator: batch-score the first samples
-        concurrently, then resample the invalid ones serially (bounded)."""
+        """One individual per generator: draw and score every first sample,
+        then resample the invalid ones (bounded).  All first samples are
+        drawn before any resample, so the RNG stream — and the schedule a
+        seed tunes to — depends on this order."""
         genomes = [generator() for generator in generators]
-        fitnesses = self._evaluate_batch(genomes)
+        fitnesses = [self._evaluate(genome) for genome in genomes]
         out: List[Tuple[ScheduleGenome, float]] = []
-        for index, generator in enumerate(generators):
-            genome, fitness = genomes[index], fitnesses[index]
+        for generator, genome, fitness in zip(generators, genomes, fitnesses):
             attempts = 0
             while fitness == INVALID_FITNESS and attempts < self.config.max_resample_attempts:
                 genome = generator()
@@ -457,10 +326,7 @@ class Autotuner:
         restored = self._database_lookup()
         if restored is not None:
             return restored
-        try:
-            result = self._search()
-        finally:
-            self._shutdown_pool()
+        result = self._search()
         self._database_store(result)
         return result
 

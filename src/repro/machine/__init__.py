@@ -1,26 +1,22 @@
 """The abstract machine model.
 
 The paper evaluates on a quad-core Xeon W3520 and an NVIDIA Tesla C2070.  This
-package replaces that hardware with an instrumented model: a set-associative
-cache simulator fed by the interpreter's memory accesses, and a cost model
-that converts operation counts, cache behaviour, vector widths and parallel
-structure into estimated cycles for a configurable machine profile.  The model
-reproduces the *shape* of the paper's performance results (which schedule wins
-and by roughly how much), which is the substitution documented in DESIGN.md.
+package replaces that hardware with a static cost model: it walks the lowered
+pipeline and converts operation counts, estimated cache traffic, vector
+widths and parallel structure into cycles for a configurable machine profile.
+The model reproduces the *shape* of the paper's performance results (which
+schedule wins and by roughly how much), not absolute times.
 """
 
-from repro.machine.cache import CacheSimulator, CacheStats
 from repro.machine.profiles import MachineProfile, GPU_LIKE, SMALL_CACHE_CPU, XEON_W3520
-from repro.machine.cost_model import CostModel, CostReport, estimate_cost
+from repro.machine.cost_model import CacheStats, CostReport, estimate_cost
 
 __all__ = [
-    "CacheSimulator",
     "CacheStats",
     "MachineProfile",
     "XEON_W3520",
     "GPU_LIKE",
     "SMALL_CACHE_CPU",
-    "CostModel",
     "CostReport",
     "estimate_cost",
 ]

@@ -5,7 +5,6 @@ from repro.metrics.tradeoff import (
     TradeoffMetrics,
     TradeoffReport,
     measure_tradeoffs,
-    static_total_ops,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "TradeoffMetrics",
     "TradeoffReport",
     "measure_tradeoffs",
-    "static_total_ops",
 ]

@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.runtime.counters import ExecutionListener
 
-__all__ = ["TradeoffMetrics", "TradeoffReport", "measure_tradeoffs",
-           "static_total_ops"]
+__all__ = ["TradeoffMetrics", "TradeoffReport", "measure_tradeoffs"]
 
 
 @dataclass
@@ -156,19 +155,3 @@ def measure_tradeoffs(pipeline, sizes: Sequence[int], schedule=None, options=Non
         report.work_amplification = report.total_ops / baseline_ops
     return report
 
-
-def static_total_ops(pipeline, sizes: Sequence[int], schedule=None, options=None,
-                     params=None) -> int:
-    """The exact operation count of a (pipeline, schedule) pair — statically.
-
-    The work-amplification column of Figure 3 only needs ``total_ops``, and
-    the static IR cost model counts exactly what :class:`TradeoffMetrics`
-    accumulates from the interpreter's ``on_arith`` events — so amplification
-    sweeps over many candidate schedules can skip interpretation entirely.
-    Span and reuse distance still require the event stream: use
-    :func:`measure_tradeoffs` for the full report.
-    """
-    from repro.analysis.static_cost import estimate_cost_static
-
-    return estimate_cost_static(pipeline, sizes, schedule=schedule,
-                                options=options, params=params).ops

@@ -1,9 +1,10 @@
 """Execution instrumentation.
 
 The executor reports every loop, arithmetic operation, load and store to a set
-of listeners.  :class:`Counters` is the basic listener used for the trade-off
-metrics of Figure 3 (work amplification, reuse distance); the machine model's
-cache simulator and cost model are further listeners.
+of listeners.  :class:`Counters` is the basic listener: the trade-off metrics
+of Figure 3 build on the same events, and its ``arith_ops``/``loads``/
+``stores`` are the executed reference the static cost model
+(:mod:`repro.analysis.static_cost`) is checked against.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ from repro.autotuner import (
 )
 from repro.autotuner.random_schedule import breadth_first_genome
 from repro.autotuner.search_space import FunctionGene, ScheduleGenome
-from repro.machine import SMALL_CACHE_CPU, estimate_cost
+from repro.machine import GPU_LIKE, SMALL_CACHE_CPU, XEON_W3520, estimate_cost
 from repro.pipeline import Pipeline
+from repro.runtime.target import Target
 
 from _image_assertions import assert_images_close
 
@@ -90,20 +91,20 @@ class TestEvaluator:
         result = evaluator.evaluate_schedules(schedule)
         assert result.valid and result.fitness > 0
 
-    def test_static_and_dynamic_modes_agree_on_validity(self, blur_setup):
+    def test_profile_defaults_to_the_targets(self, blur_setup):
+        """A tuning run is filed under its target's key, which names the
+        profile: without an explicit ``profile`` the evaluator must score on
+        the target's machine, not the default Xeon."""
         _, _, pipeline, env, _ = blur_setup
         schedule = breadth_first_genome(env).to_schedule(env, "blur_y")
-        static = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU,
-                                    mode="static").evaluate_schedules(schedule)
-        dynamic = CostModelEvaluator(pipeline, [24, 16], profile=SMALL_CACHE_CPU,
-                                     mode="dynamic").evaluate_schedules(schedule)
-        assert static.valid and dynamic.valid
-        assert static.fitness > 0 and dynamic.fitness > 0
-
-    def test_unknown_mode_rejected(self, blur_setup):
-        _, _, pipeline, _, _ = blur_setup
-        with pytest.raises(ValueError, match="mode"):
-            CostModelEvaluator(pipeline, [24, 16], mode="quantum")
+        evaluator = CostModelEvaluator(
+            pipeline, [24, 16], target=Target("interp", profile=GPU_LIKE.name))
+        assert evaluator.profile == GPU_LIKE
+        expected = estimate_cost(pipeline, [24, 16], schedule=schedule,
+                                 profile=GPU_LIKE).cycles
+        assert evaluator.evaluate_schedules(schedule).fitness == expected
+        assert expected != estimate_cost(pipeline, [24, 16], schedule=schedule,
+                                         profile=XEON_W3520).cycles
 
     def test_wall_clock_defaults_to_native_when_toolchain_present(
             self, blur_setup, monkeypatch):
@@ -160,13 +161,11 @@ class TestErrorMaskingRegression:
                 .func("s1").compute_root()
                 .func("s2").compute_root().schedule)
 
-    @pytest.mark.parametrize("mode", ["static", "dynamic"])
-    def test_schedule_that_used_to_crash_flatten_is_a_rejection(self, mode):
+    def test_schedule_that_used_to_crash_flatten_is_a_rejection(self):
         """The flatten-crasher now surfaces as a ScheduleError, which IS a
         documented rejection: the evaluator scores it invalid, no raise."""
         pipeline = self._diamond_pipeline()
-        evaluator = CostModelEvaluator(pipeline, [8, 6], profile=SMALL_CACHE_CPU,
-                                       mode=mode)
+        evaluator = CostModelEvaluator(pipeline, [8, 6], profile=SMALL_CACHE_CPU)
         result = evaluator.evaluate_schedules(self._bad_schedule())
         assert not result.valid
         assert result.fitness == float("inf")
@@ -260,7 +259,7 @@ class TestAutotuner:
 
 class TestCrossResolution:
     """Figure 8: a schedule tuned at low resolution transfers upward.  Under
-    the dynamic model, the 32x24 winner runs at 96x64 within 4x of the
+    the cost model, the 32x24 winner runs at 96x64 within 4x of the
     schedule tuned at 96x64 (the paper's worst case is 16x)."""
 
     @pytest.mark.parametrize("make", [make_blur, make_unsharp],

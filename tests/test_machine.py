@@ -1,4 +1,4 @@
-"""Tests for the machine model: cache simulator and cost model."""
+"""Tests for the machine model's cost estimates."""
 
 import numpy as np
 import pytest
@@ -11,65 +11,9 @@ from repro.apps import (
     make_local_laplacian,
 )
 from repro.compiler import LoweringOptions
-from repro.machine import (
-    CacheSimulator,
-    CostModel,
-    GPU_LIKE,
-    SMALL_CACHE_CPU,
-    XEON_W3520,
-    estimate_cost,
-)
-from repro.machine.cache import CacheLevel
+from repro.machine import GPU_LIKE, SMALL_CACHE_CPU, XEON_W3520, estimate_cost
 from repro.metrics import measure_tradeoffs
 from repro.runtime.counters import Counters
-
-
-class TestCacheLevel:
-    def test_repeated_access_hits(self):
-        cache = CacheLevel(size_bytes=1024, line_bytes=64, associativity=2)
-        assert not cache.access(0)
-        assert cache.access(0)
-        assert cache.access(32)  # same line
-
-    def test_capacity_eviction(self):
-        cache = CacheLevel(size_bytes=128, line_bytes=64, associativity=1)
-        cache.access(0)          # set 0
-        cache.access(128)        # maps to set 0, evicts line 0
-        assert not cache.access(0)
-
-    def test_lru_within_set(self):
-        cache = CacheLevel(size_bytes=256, line_bytes=64, associativity=2)
-        cache.access(0)
-        cache.access(256)        # same set, second way
-        cache.access(0)          # touch line 0 -> 256 becomes LRU
-        cache.access(512)        # evicts 256
-        assert cache.access(0)
-        assert not cache.access(256)
-
-
-class TestCacheSimulator:
-    def test_distinct_buffers_do_not_alias(self):
-        sim = CacheSimulator(l1_size=1024, l2_size=4096)
-        sim.register_buffer("a", 100)
-        sim.register_buffer("b", 100)
-        assert sim.address_of("a", 0, 4) != sim.address_of("b", 0, 4)
-
-    def test_streaming_misses(self):
-        sim = CacheSimulator(l1_size=512, l2_size=1024, line_bytes=64)
-        sim.register_buffer("a", 1 << 20)
-        misses_before = sim.stats.l2_misses
-        for i in range(0, 100000, 16):   # one access per line
-            sim.access("a", i, 4)
-        assert sim.stats.l2_misses > misses_before
-
-    def test_small_working_set_hits(self):
-        sim = CacheSimulator(l1_size=32 * 1024, l2_size=1 << 20)
-        sim.register_buffer("a", 1024)
-        for _sweep in range(4):
-            for i in range(256):
-                sim.access("a", i, 4)
-        stats = sim.stats
-        assert stats.l1_hits > stats.l1_misses
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +40,14 @@ def _paper_app(name):
     }[name]()
 
 
-@pytest.fixture(scope="module")
-def cost():
-    """Memoised dynamic-model report of one (app, named schedule, profile),
-    optionally with one lowering pass disabled: each comparison below reads
-    one ``estimate_cost`` interpreter run, shared by every test that asks."""
-    reports = {}
-
-    def report(app_name, schedule, profile, disabled=None):
-        key = (app_name, schedule, profile.name, disabled)
-        if key not in reports:
-            app, sizes = _paper_app(app_name)
-            reports[key] = estimate_cost(
-                app.pipeline(), sizes, schedule=app.named_schedule(schedule),
-                options=LoweringOptions(**{disabled: False}) if disabled else None,
-                profile=profile)
-        return reports[key]
-
-    return report
+def _cost(app_name, schedule, profile, disabled=None):
+    """The report of one (app, named schedule, profile), optionally with one
+    lowering pass disabled."""
+    app, sizes = _paper_app(app_name)
+    return estimate_cost(
+        app.pipeline(), sizes, schedule=app.named_schedule(schedule),
+        options=LoweringOptions(**{disabled: False}) if disabled else None,
+        profile=profile)
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +67,8 @@ def blur_tradeoffs():
     return report
 
 
-def _ms(cost, app_name, schedule, profile, disabled=None):
-    return cost(app_name, schedule, profile, disabled).milliseconds
+def _ms(app_name, schedule, profile, disabled=None):
+    return _cost(app_name, schedule, profile, disabled).milliseconds
 
 
 class TestCostModel:
@@ -142,9 +76,9 @@ class TestCostModel:
     def image(self):
         return np.random.default_rng(3).random((96, 64)).astype(np.float32)
 
-    def test_tiled_beats_breadth_first(self, cost):
-        breadth = cost("blur", "breadth_first", SMALL_CACHE_CPU)
-        tiled = cost("blur", "tiled", SMALL_CACHE_CPU)
+    def test_tiled_beats_breadth_first(self):
+        breadth = _cost("blur", "breadth_first", SMALL_CACHE_CPU)
+        tiled = _cost("blur", "tiled", SMALL_CACHE_CPU)
         assert tiled.cycles < breadth.cycles
 
     def test_parallelism_reduces_cycles(self, image):
@@ -154,25 +88,18 @@ class TestCostModel:
                                  schedule=app.named_schedule("tiled"), profile=XEON_W3520)
         assert parallel.cycles < serial.cycles
 
-    def test_report_fields(self, cost):
-        report = cost("blur", "tiled", SMALL_CACHE_CPU)
+    def test_report_fields(self):
+        report = _cost("blur", "tiled", SMALL_CACHE_CPU)
         data = report.as_dict()
         assert data["cycles"] > 0
         assert data["milliseconds"] > 0
         assert data["l1_hits"] + data["l1_misses"] > 0
         assert report.ops > 0
 
-    def test_gpu_profile_rewards_gpu_schedule(self, cost):
-        gpu_cost = cost("blur", "gpu", GPU_LIKE)
-        serial_on_gpu = cost("blur", "breadth_first", GPU_LIKE)
+    def test_gpu_profile_rewards_gpu_schedule(self):
+        gpu_cost = _cost("blur", "gpu", GPU_LIKE)
+        serial_on_gpu = _cost("blur", "breadth_first", GPU_LIKE)
         assert gpu_cost.cycles < serial_on_gpu.cycles
-
-    def test_cost_model_listener_composes_with_counters(self, image):
-        app = make_blur(image)
-        model, counters = CostModel(SMALL_CACHE_CPU), Counters()
-        app.compile("tiled").run(listeners=[model, counters])
-        assert model.report().cycles > 0
-        assert counters.arith_ops > 0
 
 
 class TestScheduleSpace:
@@ -183,35 +110,40 @@ class TestScheduleSpace:
                   "sliding_in_tiles", "tuned")
 
     @pytest.mark.parametrize("strategy", ["tiled", "tuned"])
-    def test_locality_schedules_beat_breadth_first_3x(self, cost, strategy):
-        breadth = _ms(cost, "blur", "breadth_first", SMALL_CACHE_CPU)
-        assert breadth / _ms(cost, "blur", strategy, SMALL_CACHE_CPU) > 3.0
+    def test_locality_schedules_beat_breadth_first_3x(self, strategy):
+        breadth = _ms("blur", "breadth_first", SMALL_CACHE_CPU)
+        assert breadth / _ms("blur", strategy, SMALL_CACHE_CPU) > 3.0
 
     @pytest.mark.parametrize("other", ["full_fusion", "sliding_window"])
-    def test_tiled_beats_pure_fusion_and_pure_sliding(self, cost, other):
-        assert _ms(cost, "blur", "tiled", SMALL_CACHE_CPU) < \
-            _ms(cost, "blur", other, SMALL_CACHE_CPU)
+    def test_tiled_beats_pure_fusion_and_pure_sliding(self, other):
+        assert _ms("blur", "tiled", SMALL_CACHE_CPU) < \
+            _ms("blur", other, SMALL_CACHE_CPU)
 
-    def test_static_model_agrees_with_simulation(self, cost):
-        """Identical counts on every strategy; the tiled family fills the
-        top three (its members are within a few percent of each other here,
-        so the estimators may permute them) and the tail order is equal."""
+    #: How the trace-driven cache simulator, the estimator before the static
+    #: model, ranked these strategies: the tiled family first (within a few
+    #: percent of each other here, so unordered), then this tail.
+    SIMULATED_TOP3 = {"tiled", "tuned", "sliding_in_tiles"}
+    SIMULATED_TAIL = ["sliding_window", "breadth_first", "full_fusion"]
+
+    def test_static_model_agrees_with_simulation(self):
+        """Counts equal the interpreter's on every strategy, and the cycle
+        ranking is the one the simulation recorded."""
         app, sizes = _paper_app("blur")
-        dynamic, static = {}, {}
+        pipeline = app.pipeline()
+        cycles = {}
         for strategy in self.STRATEGIES:
-            dynamic[strategy] = cost("blur", strategy, SMALL_CACHE_CPU)
-            static[strategy] = estimate_cost(
-                app.pipeline(), sizes, schedule=app.named_schedule(strategy),
-                profile=SMALL_CACHE_CPU, mode="static")
-            assert (static[strategy].ops, static[strategy].loads,
-                    static[strategy].stores) == \
-                (dynamic[strategy].ops, dynamic[strategy].loads,
-                 dynamic[strategy].stores), strategy
-        dynamic_order = sorted(self.STRATEGIES, key=lambda s: dynamic[s].cycles)
-        static_order = sorted(self.STRATEGIES, key=lambda s: static[s].cycles)
-        assert set(static_order[:3]) == set(dynamic_order[:3]), \
-            (static_order, dynamic_order)
-        assert static_order[3:] == dynamic_order[3:], (static_order, dynamic_order)
+            schedule = app.named_schedule(strategy)
+            report = estimate_cost(pipeline, sizes, schedule=schedule,
+                                   profile=SMALL_CACHE_CPU)
+            counters = Counters()
+            pipeline.compile(sizes, schedule=schedule, target="interp").run(
+                listeners=[counters])
+            assert (report.ops, report.loads, report.stores) == \
+                (counters.arith_ops, counters.loads, counters.stores), strategy
+            cycles[strategy] = report.cycles
+        order = sorted(self.STRATEGIES, key=cycles.get)
+        assert set(order[:3]) == self.SIMULATED_TOP3, order
+        assert order[3:] == self.SIMULATED_TAIL, order
 
 
 class TestPassAblations:
@@ -226,13 +158,13 @@ class TestPassAblations:
         assert blur_tradeoffs("storage_folding").peak_footprint_bytes >= \
             blur_tradeoffs().peak_footprint_bytes
 
-    def test_vectorization_reduces_model_time(self, cost):
-        assert _ms(cost, "blur", "tuned", SMALL_CACHE_CPU, "vectorize") >= \
-            _ms(cost, "blur", "tuned", SMALL_CACHE_CPU) * 0.99
+    def test_vectorization_reduces_model_time(self):
+        assert _ms("blur", "tuned", SMALL_CACHE_CPU, "vectorize") >= \
+            _ms("blur", "tuned", SMALL_CACHE_CPU) * 0.99
 
-    def test_all_passes_beat_breadth_first(self, cost):
-        assert _ms(cost, "blur", "tuned", SMALL_CACHE_CPU) < \
-            _ms(cost, "blur", "breadth_first", SMALL_CACHE_CPU)
+    def test_all_passes_beat_breadth_first(self):
+        assert _ms("blur", "tuned", SMALL_CACHE_CPU) < \
+            _ms("blur", "breadth_first", SMALL_CACHE_CPU)
 
 
 class TestFigure7:
@@ -242,9 +174,9 @@ class TestFigure7:
     @pytest.mark.parametrize("app_name, floor", [
         ("blur", 1.2), ("bilateral_grid", 1.0), ("camera_pipe", 1.0),
         ("interpolate", 1.0), ("local_laplacian", 1.0)])
-    def test_tuned_beats_breadth_first_on_x86(self, cost, app_name, floor):
-        speedup = _ms(cost, app_name, "breadth_first", XEON_W3520) / \
-            _ms(cost, app_name, "tuned", XEON_W3520)
+    def test_tuned_beats_breadth_first_on_x86(self, app_name, floor):
+        speedup = _ms(app_name, "breadth_first", XEON_W3520) / \
+            _ms(app_name, "tuned", XEON_W3520)
         assert speedup > 1.0 and speedup >= floor, speedup
 
     # Blur's row is TestCostModel.test_gpu_profile_rewards_gpu_schedule.  The
@@ -252,11 +184,11 @@ class TestFigure7:
     # plus launch overhead; it need only stay in the same ballpark.
     @pytest.mark.parametrize("app_name, floor", [
         ("interpolate", 1.0), ("bilateral_grid", 0.5)])
-    def test_gpu_schedule_beats_naive_on_gpu(self, cost, app_name, floor):
-        speedup = _ms(cost, app_name, "breadth_first", GPU_LIKE) / \
-            _ms(cost, app_name, "gpu", GPU_LIKE)
+    def test_gpu_schedule_beats_naive_on_gpu(self, app_name, floor):
+        speedup = _ms(app_name, "breadth_first", GPU_LIKE) / \
+            _ms(app_name, "gpu", GPU_LIKE)
         assert speedup > floor, speedup
 
-    def test_gpu_beats_tuned_cpu_on_blur(self, cost):
-        assert _ms(cost, "blur", "tuned", XEON_W3520) / \
-            _ms(cost, "blur", "gpu", GPU_LIKE) > 1.0
+    def test_gpu_beats_tuned_cpu_on_blur(self):
+        assert _ms("blur", "tuned", XEON_W3520) / \
+            _ms("blur", "gpu", GPU_LIKE) > 1.0

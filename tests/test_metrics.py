@@ -11,6 +11,7 @@ from repro.apps import (
     make_histogram_equalize,
     make_local_laplacian,
 )
+from repro.machine import estimate_cost
 from repro.metrics import analyze_pipeline, measure_tradeoffs
 from repro.lang import Buffer, Func, Var
 
@@ -122,27 +123,23 @@ class TestTradeoffMetrics:
 
 
 class TestStaticTotalOps:
-    """`static_total_ops` is the static fast path for the Figure 3
+    """The cost model's ``ops`` is the static fast path for the Figure 3
     work-amplification column: identical to what TradeoffMetrics counts."""
 
     @pytest.mark.parametrize("strategy", ["breadth_first", "full_fusion",
                                           "sliding_window", "tiled"])
     def test_matches_interpreted_count(self, image, tradeoffs, strategy):
-        from repro.metrics import static_total_ops
-
         app = make_blur(image)
-        assert static_total_ops(app.pipeline(), app.default_size,
-                                schedule=BLUR_SCHEDULES[strategy]) == \
+        assert estimate_cost(app.pipeline(), app.default_size,
+                             schedule=BLUR_SCHEDULES[strategy]).ops == \
             tradeoffs(strategy).total_ops
 
     def test_work_amplification_from_static_counts(self, image):
-        from repro.metrics import static_total_ops
-
         size = [image.shape[0], image.shape[1]]
-        baseline = static_total_ops(
+        baseline = estimate_cost(
             make_blur(image).pipeline(), size,
-            schedule=BLUR_SCHEDULES["breadth_first"])
-        fused = static_total_ops(
+            schedule=BLUR_SCHEDULES["breadth_first"]).ops
+        fused = estimate_cost(
             make_blur(image).pipeline(), size,
-            schedule=BLUR_SCHEDULES["full_fusion"])
+            schedule=BLUR_SCHEDULES["full_fusion"]).ops
         assert fused / baseline > 1.3

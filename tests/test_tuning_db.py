@@ -2,8 +2,8 @@
 
 Covers the satellite checklist: record round-trips, corruption recovery,
 concurrent writers — plus the warm-start contract (a stored winner is
-returned with zero evaluations), structural pipeline fingerprints, shipped
-pre-tuned app defaults, and parallel generation evaluation matching serial.
+returned with zero evaluations), structural pipeline fingerprints and
+shipped pre-tuned app defaults.
 """
 
 import json
@@ -216,8 +216,8 @@ def blur_pipeline():
     return make_blur(rng.random((48, 36)).astype(np.float32)).pipeline()
 
 
-def _tune(pipeline, db, **config_kwargs):
-    config = TunerConfig(population_size=6, generations=2, seed=5, **config_kwargs)
+def _tune(pipeline, db):
+    config = TunerConfig(population_size=6, generations=2, seed=5)
     evaluator = CostModelEvaluator(pipeline, [32, 24], profile=SMALL_CACHE_CPU)
     return Autotuner(pipeline, evaluator, config, tuning_db=db).run()
 
@@ -259,10 +259,8 @@ class TestTunerIntegration:
         stored = next(iter(db.records()))
         assert stored.fitness_kind == "wall-seconds"
 
-    @pytest.mark.parametrize("population, generations, workers",
-                             [(8, 4, None), (6, 2, 2)])
-    def test_convergence_then_warm_start(self, tmp_path, population,
-                                         generations, workers):
+    @pytest.mark.parametrize("population, generations", [(8, 4), (6, 2)])
+    def test_convergence_then_warm_start(self, tmp_path, population, generations):
         """Section 6.1 end to end: static scoring, wall-clock pruning of each
         generation's best, a monotone convergence curve, and a re-run from a
         fresh database handle answered with zero evaluations of either kind."""
@@ -270,7 +268,7 @@ class TestTunerIntegration:
         pipeline = Pipeline(make_blur(image).output)
         sizes = [48, 32]
         config = TunerConfig(population_size=population, generations=generations,
-                             seed=42, parallel_workers=workers, measure_top_k=2)
+                             seed=42, measure_top_k=2)
 
         def tune():
             evaluator = CostModelEvaluator(pipeline, sizes, profile=SMALL_CACHE_CPU)
@@ -301,19 +299,6 @@ class TestTunerIntegration:
         measured = cold.measured_schedule(pipeline)
         banked = measured if measured is not None else cold.schedule
         assert warm.schedule.digest() == banked.digest()
-
-    def test_parallel_evaluation_matches_serial(self, blur_pipeline):
-        serial = _tune(blur_pipeline, None)
-        parallel = _tune(blur_pipeline, None, parallel_workers=2)
-        assert parallel.best_fitness == serial.best_fitness
-        assert parallel.history == serial.history
-        assert parallel.internal_errors == 0
-
-    def test_parallel_falls_back_without_fork_pool(self, blur_pipeline,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_PROCESS_POOL", "1")
-        result = _tune(blur_pipeline, None, parallel_workers=4)
-        assert result.best_fitness < float("inf")
 
 
 # ---------------------------------------------------------------------------
