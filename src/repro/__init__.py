@@ -38,7 +38,7 @@ from repro.pipeline import CompiledPipeline, Pipeline
 from repro.runtime.target import Target, as_target
 from repro.compiler import LoweringOptions
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "Bool",

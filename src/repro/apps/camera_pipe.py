@@ -50,7 +50,9 @@ def _tuned_schedule(funcs: Dict[str, Func]) -> Schedule:
                  "r_at_b", "b_at_r"):
         s = s.func(funcs[name].name).compute_at("processed", "yo")
     s = (s.func("denoised").compute_at("processed", "yo").vectorize("x", 4)
-         .func("curve").compute_root())
+         .func("curve").compute_root()
+         # Channels inside the strip: its demosaic is computed once, not per c.
+         .func("processed").reorder("xo", "yi", "c", "yo"))
     return as_schedule(s)
 
 

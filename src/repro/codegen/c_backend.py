@@ -23,7 +23,12 @@ semantics exactly, not approximately:
   fixed-width wrapping (builds use ``-fwrapv``) and its late-rounding
   float64 intermediates bit-for-bit;
 * integer division/modulo are *floored* with the divide-by-zero → 0
-  convention, via helpers, exactly as ``np.floor_divide``/``np.mod``;
+  convention, exactly as ``np.floor_divide``/``np.mod``.  A divisor that is
+  a positive compile-time constant (after conversion to the operation's C
+  type) is emitted inline: a shift or mask for a power of two, else a
+  branch-free floor the C compiler strength-reduces, so loops over
+  resampling index maps (``x / 2``, ``x % 2``) stay vectorizable.  Only
+  variable, zero and negative divisors call the zero-testing helpers;
 * ``Min``/``Max`` use helpers that propagate NaN from either side and return
   the second operand on ties — the empirically verified behaviour of
   ``np.minimum``/``np.maximum`` (including signed zeros);
@@ -273,6 +278,21 @@ def _promote(a: _RT, b: _RT) -> _RT:
     return _RT(arr, _CODE_OF_NP[result.name])
 
 
+def _positive_constant(e: E.Expr, code: str) -> Optional[int]:
+    """The divisor ``e`` as C sees it after conversion to the operation's
+    type (runtime dtype ``code``), when that is a compile-time constant > 0;
+    else None.  Converting first matters: ``(int8_t)128`` is -128."""
+    while isinstance(e, E.Broadcast):
+        e = e.value
+    if not isinstance(e, E.IntImm) or code == "b":
+        return None
+    info = np.iinfo(_NP_OF_CODE[_strong(code)])
+    value = e.value & ((1 << info.bits) - 1)
+    if value > info.max:
+        value -= 1 << info.bits
+    return value if value > 0 else None
+
+
 class _Binding:
     """One in-scope IR name: a C scalar local or a per-lane array local."""
 
@@ -414,8 +434,8 @@ class _CEmitter:
         if isinstance(e, (E.And, E.Or)):
             # NumPy's logical_and/or evaluate both operands eagerly; C's
             # short-circuit is safe because lowered expressions are pure and
-            # the div/mod helpers never trap.  C truthiness (!= 0, NaN is
-            # true) matches np.logical_* exactly.
+            # integer div/mod never traps (a zero divisor goes to a helper).
+            # C truthiness (!= 0, NaN is true) matches np.logical_* exactly.
             (a, ra), (b, rb) = self.expr(e.a, lane), self.expr(e.b, lane)
             op = "&&" if isinstance(e, E.And) else "||"
             return f"((uint8_t)(({a}) {op} ({b})))", _RT(ra.arr or rb.arr, "b")
@@ -472,6 +492,9 @@ class _CEmitter:
         if not rt.arr:
             rt = _RT(False, "wi")
         ct = _CT_OF_CODE[rt.code]
+        c = _positive_constant(e.b, rt.code)
+        if c is not None:
+            return self._floored_by_constant("/", a, ct, c), rt
         wide = _CT_OF_CODE[_strong(rt.code)]
         helper = "repro_udiv_u64" if wide.startswith("u") else "repro_idiv_i64"
         warg = "uint64_t" if wide.startswith("u") else "int64_t"
@@ -487,10 +510,40 @@ class _CEmitter:
         if e.type.is_float():
             fn = "fmodf" if rt.code == "f32" else "fmod"
             return f"(({ct})({fn}((({ct})({a})), (({ct})({b})))))", rt
+        c = _positive_constant(e.b, rt.code)
+        if c is not None:
+            return self._floored_by_constant("%", a, ct, c), rt
         helper = "repro_umod_u64" if ct.startswith("u") else "repro_imod_i64"
         warg = "uint64_t" if ct.startswith("u") else "int64_t"
         return (f"(({ct}){helper}(({warg})(({ct})({a})), "
                 f"({warg})(({ct})({b}))))", rt)
+
+    def _floored_by_constant(self, op: str, a: str, ct: str, c: int) -> str:
+        """Floored ``a // c`` (``op`` "/") or ``a % c`` (``op`` "%") at C
+        type ``ct`` for a constant ``c > 0``, inline and without a zero test.
+
+        A power of two is a shift or a mask: gcc's signed ``>>`` is
+        arithmetic, so both floor for every two's-complement dividend,
+        INT64_MIN included.  Unsigned operands need no correction.  A signed
+        dividend by any other ``c`` truncates, then steps a negative
+        remainder's quotient down by one and its remainder up by ``c``.
+        """
+        x = f"(({ct})({a}))"
+        unsigned = ct.startswith("u")
+        suffix = "ULL" if unsigned else "LL"
+        if c & (c - 1) == 0:
+            if op == "/":
+                return f"(({ct})({x} >> {c.bit_length() - 1}))"
+            return f"(({ct})({x} & {c - 1}{suffix}))"
+        if unsigned:
+            return f"(({ct})({x} {op} {c}{suffix}))"
+        if op == "/":
+            n = self._tmp("_n")
+            self._line(f"const int64_t {n} = (int64_t){x};")
+            return f"(({ct})(({n} / {c}LL) - (({n} % {c}LL) < 0)))"
+        r = self._tmp("_r")
+        self._line(f"const int64_t {r} = (int64_t){x} % {c}LL;")
+        return f"(({ct})({r} + (({r} < 0) ? {c}LL : 0)))"
 
     def _minmax(self, e, lane: Optional[str]) -> Tuple[str, _RT]:
         (a, ra), (b, rb) = self.expr(e.a, lane), self.expr(e.b, lane)

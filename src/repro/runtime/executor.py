@@ -13,7 +13,6 @@ use Fortran ordering (``reshape(shape, order="F")``).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -450,7 +449,8 @@ class Executor:
 def _int_floor_div(a, b):
     if b == 0:
         return 0
-    return int(math.floor(a / b))
+    # Exact in Python ints: a float quotient rounds past 2**53.
+    return int(a) // int(b)
 
 
 class _Missing:

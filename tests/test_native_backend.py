@@ -34,11 +34,13 @@ from repro.apps.video import DEFAULT_WINDOW
 from repro.codegen import c_toolchain
 from repro.codegen.c_backend import NativeExecutor, generate_c_source
 from repro.codegen.c_toolchain import ToolchainError
+from repro.lang import Buffer, Func, Var, cast, select
 from repro.pipeline import Pipeline
 from repro.reference import video_ref
 from repro.runtime import backend_names, create_executor, get_backend
 from repro.runtime.target import Target
 from repro.streaming import realize_stream
+from repro.types import Int
 
 from test_compiled_backend import _app_cases, _interp_reference, _parity_cases
 
@@ -74,6 +76,57 @@ def test_native_parallel_schedules_are_deterministic(app_name):
         assert first.tobytes() == second.tobytes(), \
             f"{app_name}/{schedule}: threads=4 runs differ"
         assert_images_identical(serial, first)
+
+
+# ---------------------------------------------------------------------------
+# integer division: floored // and % by constants, bit-identical to interp
+# ---------------------------------------------------------------------------
+
+_DIVISORS = (1, 2, 3, 4, 7, 8, 64, 128, -2, -3)
+
+
+def _division_pipeline(dtype: str, vectorized: bool):
+    """``out[x, k]``: case ``k`` of every ``//`` and ``%`` by ``_DIVISORS``
+    over the type's extremes and -9..9.  Each (dtype, schedule) case owns
+    its Func and input names, so no two cases share a persistent-cache key."""
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.max, info.min + 1, *range(-9, 10)],
+                      dtype=np.int64).astype(dtype)
+    tag = f"{dtype}_{'vector' if vectorized else 'scalar'}"
+    source = Buffer(values, name=f"div_in_{tag}")
+    x, k = Var("x"), Var("k")
+    results = [cast(Int(64), r) for d in _DIVISORS
+               for r in (source[x] // d, source[x] % d)]
+    value = results[-1]
+    for case in reversed(range(len(results) - 1)):
+        value = select(k.eq(case), results[case], value)
+    out = Func(f"div_out_{tag}")
+    out[x, k] = value
+    if vectorized:
+        out.vectorize(x, 2)
+    return Pipeline(out), [len(values), len(results)]
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                   "uint8", "uint16", "uint32"])
+def test_division_by_constants_is_exact(dtype, vectorized):
+    pipeline, sizes = _division_pipeline(dtype, vectorized)
+    reference = pipeline.compile(sizes, target="interp").run()
+    via_native = pipeline.compile(sizes, target=Target("native")).run()
+    assert_images_identical(via_native, reference)
+
+
+def test_deep_programs_divide_by_constants_inline():
+    """No zero-testing helper call is left in the deep 1 MP programs; the
+    helper definitions may stay in the preamble."""
+    for app_name in ("local_laplacian", "camera_pipe", "interpolate"):
+        app, sizes = _app_cases()[app_name]()
+        source = app.compile("tuned", sizes, target="interp").c_source()
+        body = source.split("repro_entry(", 1)[1]
+        assert "repro_idiv_i64(" not in body, app_name
+        assert "repro_imod_i64(" not in body, app_name
 
 
 # ---------------------------------------------------------------------------

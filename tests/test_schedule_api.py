@@ -385,7 +385,7 @@ _APP_DIGESTS = {
     'blur/tiled_novec': ('42f69c9452f277df', '40181df1d23202eb'),
     'blur/tuned': ('d12d31cd7216accb', '45fed476db2fa352'),
     'camera_pipe/breadth_first': ('8113f37f47067503', '39884869b68021d5'),
-    'camera_pipe/tuned': ('69ada2a0e63dd086', 'c7bfbfe37cf2fdc6'),
+    'camera_pipe/tuned': ('f4b56ce12f661673', 'ac94509cd27e5d3b'),
     'histogram_equalize/breadth_first': ('d3b5de84c62564ef', 'f3a3f0165e69076c'),
     'histogram_equalize/tuned': ('7ac7d00ee5d8d146', '5a176d2b1ba9078e'),
     'interpolate/breadth_first': ('9061edc71227f051', '47143ebe63eb4519'),
