@@ -8,8 +8,8 @@ describes), and fresh random individuals; candidates are validated by
 attempting to lower them and scored by the static cost model or by
 wall-clock time.  The statically-best survivors can be pruned into
 wall-clock measurements, and winners persist in a tuning
-database (``REPRO_TUNE_DB``) that warm-starts later runs and ships
-pre-tuned defaults for the seven paper apps.  See ``docs/autotuning.md``.
+database (``REPRO_TUNE_DB``) that warm-starts later runs.  See
+``docs/autotuning.md``.
 """
 
 from repro.autotuner.search_space import ScheduleGenome, FunctionGene
@@ -29,7 +29,6 @@ from repro.autotuner.tuning_db import (
     default_tuning_db,
     pipeline_fingerprint,
 )
-from repro.autotuner.pretuned import install_pretuned_defaults, pretuned_schedule
 
 __all__ = [
     "ScheduleGenome",
@@ -49,6 +48,4 @@ __all__ = [
     "TuningRecord",
     "default_tuning_db",
     "pipeline_fingerprint",
-    "install_pretuned_defaults",
-    "pretuned_schedule",
 ]

@@ -8,9 +8,7 @@ like :mod:`repro.runtime.disk_cache`) mapping
     pipeline fingerprint x output sizes x target key  ->  best schedule found
 
 so later runs of the same search warm-start to the stored winner with zero
-re-measurements, and applications can ship pre-tuned defaults
-(:mod:`repro.autotuner.pretuned`) that any process with ``REPRO_TUNE_DB`` set
-picks up.
+re-measurements, in any process with ``REPRO_TUNE_DB`` set.
 
 The pipeline fingerprint is *structural*: the pretty-printed definitions of
 every reachable stage (names, arguments, right-hand sides, reduction
@@ -97,9 +95,9 @@ class TuningRecord:
     schedule: Dict
     #: Lower is better, within one ``fitness_kind``.
     fitness: float
-    #: ``"static-cycles"``, ``"wall-seconds"``, or ``"pretuned"``.
+    #: ``"static-cycles"`` or ``"wall-seconds"``.
     fitness_kind: str = "static-cycles"
-    #: How many candidate evaluations produced this record (0 for shipped defaults).
+    #: How many candidate evaluations produced this record.
     evaluations: int = 0
     note: str = ""
 
@@ -117,9 +115,10 @@ def _key_string(fingerprint: str, sizes: Sequence[int], target: str) -> str:
 
 
 #: Fitness kinds ordered by trustworthiness: a measured record is never
-#: displaced by a model estimate, and a tuned record of either kind beats a
-#: shipped default.
-_KIND_RANK = {"pretuned": 0, "static-cycles": 1, "wall-seconds": 2}
+#: displaced by a model estimate.  A kind not listed here (a record written
+#: by an older version, such as its shipped per-app defaults) ranks below
+#: both, so a tuned record of either kind replaces it.
+_KIND_RANK = {"static-cycles": 1, "wall-seconds": 2}
 
 
 class TuningDatabase:
@@ -248,8 +247,8 @@ class TuningDatabase:
 
 
 def _outranks(new: TuningRecord, old: TuningRecord) -> bool:
-    new_rank = _KIND_RANK.get(new.fitness_kind, 1)
-    old_rank = _KIND_RANK.get(old.fitness_kind, 1)
+    new_rank = _KIND_RANK.get(new.fitness_kind, 0)
+    old_rank = _KIND_RANK.get(old.fitness_kind, 0)
     if new_rank != old_rank:
         return new_rank > old_rank
     return new.fitness < old.fitness

@@ -2,10 +2,11 @@
 
 The compiled backend (:mod:`repro.codegen.source_backend`) lowers every
 parallel loop to a call to :meth:`ParallelRuntime.parallel_for`, passing a
-module-level chunk function ``body(bufs, ctx, rt, lo, hi)`` that executes the
-iterations ``[lo, hi)`` over the buffers ``bufs`` and the enclosing-scope
-values ``ctx``.  The runtime splits the iteration space into contiguous
-chunks and submits them to a shared
+closure ``body(lo, hi)`` that executes the iterations ``[lo, hi)``; it reads
+buffers and loop variables straight from the enclosing generated function.
+:meth:`CompiledPipeline.realize_batch <repro.pipeline.CompiledPipeline.realize_batch>`
+dispatches its batch items through the same call.  The runtime splits the
+iteration space into contiguous chunks and submits them to a shared
 :class:`~concurrent.futures.ThreadPoolExecutor` sized by ``Target.threads``.
 
 Threads (rather than processes) suffice because of the paper's execution
@@ -77,17 +78,17 @@ def chunk_bounds(mn: int, extent: int, chunks: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _run_chunk(body: Callable, bufs: dict, ctx: dict,
-               rt: "ParallelRuntime", lo: int, hi: int) -> None:
+def _run_chunk(body: Callable, lo: int, hi: int) -> None:
     _WORKER_STATE.active = True
     try:
-        body(bufs, ctx, rt, lo, hi)
+        body(lo, hi)
     finally:
         _WORKER_STATE.active = False
 
 
 class ParallelRuntime:
-    """Executes parallel-for chunk bodies for one compiled pipeline run.
+    """Executes parallel-for chunk bodies for one compiled pipeline run
+    (or one batch of runs).
 
     ``threads`` comes from :attr:`repro.runtime.target.Target.threads`; the
     serial fallback (``None`` or ``1``) calls the chunk body inline, so the
@@ -113,20 +114,18 @@ class ParallelRuntime:
             return buf
         return np.zeros(max(int(size), 0), dtype=dtype)
 
-    def parallel_for(self, body: Callable, mn: int, extent: int,
-                     bufs: dict, ctx: dict) -> None:
-        """Run ``body(bufs, ctx, rt, lo, hi)`` over ``[mn, mn+extent)``,
-        possibly in chunks."""
+    def parallel_for(self, body: Callable, mn: int, extent: int) -> None:
+        """Run ``body(lo, hi)`` over ``[mn, mn+extent)``, possibly in chunks."""
         mn, extent = int(mn), int(extent)
         if extent <= 0:
             return
         threads = self.threads
         if (threads is None or threads <= 1 or extent == 1
                 or getattr(_WORKER_STATE, "active", False)):
-            body(bufs, ctx, self, mn, mn + extent)
+            body(mn, mn + extent)
             return
         pool = get_pool(threads)
-        futures = [pool.submit(_run_chunk, body, bufs, ctx, self, lo, hi)
+        futures = [pool.submit(_run_chunk, body, lo, hi)
                    for lo, hi in chunk_bounds(mn, extent, threads * CHUNKS_PER_WORKER)]
         # Wait for every chunk; the first failure propagates to the caller
         # after the remaining chunks finish (they write disjoint regions, so

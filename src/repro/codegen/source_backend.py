@@ -16,12 +16,14 @@ operations exactly, so outputs stay bit-identical:
 * everything else becomes an ordinary Python loop over the same expressions —
   still dispatch-free, which is what makes the compiled backend faster than
   the NumPy backend even on loops neither can batch;
-* ``ForType.PARALLEL`` loops are emitted as chunk functions handed to
-  :class:`~repro.codegen.parallel_runtime.ParallelRuntime`, which spreads the
-  chunks over a shared thread pool sized by ``Target.threads`` (workers write
-  disjoint slices of the shared flat buffers — the paper's model guarantees
-  parallel iterations never overlap — so threads suffice and the output is
-  bit-identical for every thread count).
+* a ``ForType.PARALLEL`` loop becomes a nested closure ``_chunk_N(_lo, _hi)``
+  whose body is the ordinary serial loop (batched or scalar, as above) over
+  ``[_lo, _hi)``, reading the enclosing function's locals directly; it is
+  handed to :meth:`~repro.codegen.parallel_runtime.ParallelRuntime.parallel_for`,
+  which spreads the chunks over a shared thread pool sized by
+  ``Target.threads`` (workers write disjoint slices of the shared flat
+  buffers — the paper's model guarantees parallel iterations never overlap —
+  so threads suffice and the output is bit-identical for every thread count).
 
 Differences from the interpreter, by design:
 
@@ -137,25 +139,6 @@ class _Value:
         self.aligned = aligned
 
 
-class _ChunkScope:
-    """Book-keeping for one parallel chunk function under emission.
-
-    Parallel loop bodies are emitted as *module-level* functions taking no
-    closure state; every value the body reads from its enclosing scope must
-    therefore be passed explicitly.
-    ``scalar_refs`` (py-name -> py-name, an ordered set) and ``buf_refs``
-    (buffer name -> py-name) collect those imports; ``defined`` holds the py
-    locals created inside the chunk, which need no import.
-    """
-
-    __slots__ = ("scalar_refs", "buf_refs", "defined")
-
-    def __init__(self):
-        self.scalar_refs: Dict[str, str] = {}
-        self.buf_refs: Dict[str, str] = {}
-        self.defined: Set[str] = set()
-
-
 class _Emitter:
     """One pass over the lowered statement emitting the pipeline function."""
 
@@ -180,38 +163,13 @@ class _Emitter:
         #: Store ids with an evaluated disjointness certificate (batch ctx).
         self._certified: Set[int] = set()
         self._in_batch = False
-        #: Module-level chunk functions emitted for parallel loops.
-        self.module_fns: List[List[Tuple[int, str]]] = []
-        #: Stack of chunk functions currently being emitted (innermost last).
-        self._chunk_stack: List[_ChunkScope] = []
 
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
     def _tmp(self, prefix: str = "_t") -> str:
         self._counter += 1
-        name = f"{prefix}{self._counter}"
-        if self._chunk_stack:
-            self._chunk_stack[-1].defined.add(name)
-        return name
-
-    def _note_scalar(self, py: str) -> None:
-        """Record that ``py`` (a scalar local) is read inside open chunks.
-
-        Walking innermost-out, every chunk that does not define the name must
-        import it through its ``ctx`` dict; the chunk that defines it stops
-        the propagation (its call sites re-record transitively)."""
-        for chunk in reversed(self._chunk_stack):
-            if py in chunk.defined:
-                return
-            chunk.scalar_refs[py] = py
-
-    def _note_buffer_ref(self, name: str, py: str) -> None:
-        """Like :meth:`_note_scalar` for buffer locals (imported via ``bufs``)."""
-        for chunk in reversed(self._chunk_stack):
-            if py in chunk.defined:
-                return
-            chunk.buf_refs[name] = py
+        return f"{prefix}{self._counter}"
 
     def _line(self, code: str) -> None:
         self.lines.append((self.indent, code))
@@ -230,16 +188,13 @@ class _Emitter:
     def _buffer(self, name: str) -> str:
         """The py local holding buffer ``name`` (prelude-bound if external)."""
         if name in self.buf_env:
-            py = self.buf_env[name]
-        else:
-            if name not in self.extern_buffers:
-                # The index keeps distinct IR names distinct even when
-                # _sanitize collapses them to the same identifier.
-                self.extern_buffers[name] = \
-                    f"_in{len(self.extern_buffers)}_{_sanitize(name)}"
-            py = self.extern_buffers[name]
-        self._note_buffer_ref(name, py)
-        return py
+            return self.buf_env[name]
+        if name not in self.extern_buffers:
+            # The index keeps distinct IR names distinct even when
+            # _sanitize collapses them to the same identifier.
+            self.extern_buffers[name] = \
+                f"_in{len(self.extern_buffers)}_{_sanitize(name)}"
+        return self.extern_buffers[name]
 
     @staticmethod
     def _is_array(e: E.Expr, value: _Value) -> bool:
@@ -322,13 +277,11 @@ class _Emitter:
     def _variable(self, e: E.Variable) -> _Value:
         binding = self.env.get(e.name)
         if binding is not None:
-            self._note_scalar(binding[0])
             return _Value(binding[0], binding[1])
         py = self.scope_vars.get(e.name)
         if py is None:
             py = f"_s{len(self.scope_vars)}_{_sanitize(e.name)}"
             self.scope_vars[e.name] = py
-        self._note_scalar(py)
         return _Value(py, False)
 
     def _cast(self, e: E.Cast) -> _Value:
@@ -477,10 +430,7 @@ class _Emitter:
         py = self._tmp(f"_b_{_sanitize(node.name)}_")
         # rt.alloc gives externally provided storage (the output buffer)
         # precedence, exactly as in the interpreter's Allocate handling.
-        # Inside a chunk function only the chunk's ``bufs`` map is visible;
-        # allocations there are chunk-private by design.
-        bufsrc = "bufs" if self._chunk_stack else "buffers"
-        self._line(f"{py} = rt.alloc({bufsrc}, {node.name!r}, {size.code}, "
+        self._line(f"{py} = rt.alloc(buffers, {node.name!r}, {size.code}, "
                    f"{self._dtype(node.type)})")
         saved = self.buf_env.get(node.name)
         self.buf_env[node.name] = py
@@ -545,8 +495,20 @@ class _Emitter:
         self._line(f"{mn} = {mn_value.code}")
         self._line(f"{ex} = {ex_value.code}")
         if node.for_type == S.ForType.PARALLEL:
-            self._parallel_loop(node, mn, ex)
+            # The body becomes a closure over one chunk [_lo, _hi): the
+            # ordinary serial loop, reading the enclosing locals directly.
+            fn = self._tmp(f"_chunk_{_sanitize(node.name)}_")
+            self._line(f"def {fn}(_lo, _hi):")
+            self.indent += 1
+            chunk_ex = self._tmp("_ex")
+            self._line(f"{chunk_ex} = _hi - _lo")
+            self._serial_loop(node, "_lo", chunk_ex)
+            self.indent -= 1
+            self._line(f"rt.parallel_for({fn}, {mn}, {ex})")
             return
+        self._serial_loop(node, mn, ex)
+
+    def _serial_loop(self, node: S.For, mn: str, ex: str) -> None:
         info = self.batch_info.get(id(node))
         if info is not None and info.batchable and self._guards_allow_batching(node):
             self._batched_loop(node, info, mn, ex)
@@ -681,74 +643,6 @@ class _Emitter:
             self._scalar_loop(node, mn, ex)
             self.indent -= 1
 
-    def _parallel_loop(self, node: S.For, mn: str, ex: str) -> None:
-        info = self.batch_info.get(id(node))
-        vectorizable = (info is not None and info.batchable
-                        and self._guards_allow_batching(node))
-        gate, certified, needs_abort = (None, set(), False)
-        if vectorizable:
-            gate, certified, needs_abort = self._emit_certificates(node, info, "2")
-        fn = self._tmp(f"_chunk_{_sanitize(node.name)}_")
-        self._line(f"# parallel for {node.name}")
-        # The chunk body becomes a *module-level* function the runtime calls
-        # directly: it needs no closure state — every enclosing-scope value
-        # is passed through bufs/ctx explicitly.
-        outer_lines, outer_indent = self.lines, self.indent
-        self.lines, self.indent = [], 1
-        chunk = _ChunkScope()
-        self._chunk_stack.append(chunk)
-        try:
-            if vectorizable:
-                self._note_scalar(gate)
-                vec = self._tmp(f"_v_{_sanitize(node.name)}_")
-                self._line(f"if {gate} and (_hi - _lo) >= 2:")
-                self.indent += 1
-                if needs_abort:
-                    self._line("try:")
-                    self.indent += 1
-                self._line(f"{vec} = np.arange(_lo, _hi)")
-                self._vector_body(node, vec, certified)
-                self._line("return")
-                if needs_abort:
-                    self.indent -= 1
-                    self._line("except _BatchAbort:")
-                    self.indent += 1
-                    self._line("pass")
-                    self.indent -= 1
-                self.indent -= 1
-            py = self._tmp(f"_v_{_sanitize(node.name)}_")
-            self._line(f"for {py} in range(_lo, _hi):")
-            saved = self.env.get(node.name)
-            self.env[node.name] = (py, False)
-            try:
-                self._block(node.body)
-            finally:
-                if saved is None:
-                    self.env.pop(node.name, None)
-                else:
-                    self.env[node.name] = saved
-        finally:
-            self._chunk_stack.pop()
-            body_lines = self.lines
-            self.lines, self.indent = outer_lines, outer_indent
-        fn_lines = [(0, f"def {fn}(bufs, ctx, rt, _lo, _hi):")]
-        fn_lines += [(1, f"{py} = bufs[{name!r}]")
-                     for name, py in chunk.buf_refs.items()]
-        fn_lines += [(1, f"{py} = ctx[{py!r}]") for py in chunk.scalar_refs]
-        self.module_fns.append(fn_lines + body_lines)
-        # The call site references every imported value, so re-record the
-        # refs against any still-open enclosing chunk (transitive imports).
-        for name, py in chunk.buf_refs.items():
-            self._note_buffer_ref(name, py)
-        for py in chunk.scalar_refs:
-            self._note_scalar(py)
-        bufs_lit = "{" + ", ".join(f"{name!r}: {py}"
-                                   for name, py in chunk.buf_refs.items()) + "}"
-        ctx_lit = "{" + ", ".join(f"{py!r}: {py}"
-                                  for py in chunk.scalar_refs) + "}"
-        self._line(f"rt.parallel_for({fn}, {mn}, {ex}, "
-                   f"bufs={bufs_lit}, ctx={ctx_lit})")
-
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
@@ -761,15 +655,10 @@ class _Emitter:
         self._line(f"# Python source compiled from pipeline {output!r}.")
         self._line("# Regenerated by repro.codegen.source_backend; inspect via")
         self._line("# CompiledPipeline.source().")
-        # Constants live at module level so the chunk functions (also module
-        # level) can reach them through the shared exec namespace.
         for dtype, py in sorted(self.dtype_consts.items()):
             self._line(f"{py} = np.dtype({dtype!r})")
         for lanes, py in sorted(self.arange_consts.items()):
             self._line(f"{py} = np.arange({lanes})")
-        for fn_lines in self.module_fns:
-            self._line("")
-            self.lines.extend(fn_lines)
         self._line("")
         self._line(f"def {_ENTRY_NAME}(scope, buffers, rt):")
         self.indent = 1

@@ -425,7 +425,7 @@ def _select_value(stage: StageSpec, read, pt: Tuple, dtype: Type):
     stripe = pt[0]
     for c in pt[1:]:
         stripe = stripe + c
-    return cast(dtype, select(stripe % modulus == residue, a, b))
+    return cast(dtype, select((stripe % modulus).eq(residue), a, b))
 
 
 def _gather_value(stage: StageSpec, read, pt: Tuple, dtype: Type):

@@ -326,7 +326,14 @@ def make_not(a) -> Expr:
 
 
 def make_select(condition, true_value, false_value) -> Expr:
-    """Construct a select with type matching and constant-condition folding."""
+    """Construct a select with type matching and constant-condition folding.
+
+    A Python ``bool`` condition is rejected: it is what ``a == b`` on Exprs
+    gives (structural equality), which would silently fold the select."""
+    if isinstance(condition, bool):
+        raise TypeError(
+            "select() condition is a Python bool, not an Expr; `==`/`!=` on "
+            "Exprs compare structure, so write a.eq(b) / a.ne(b) to compare values")
     c = as_expr(condition)
     tv, fv = as_expr(true_value), as_expr(false_value)
     if is_const(tv) and not is_const(fv) and _safe_literal_cast(tv, fv.type):

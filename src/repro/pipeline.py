@@ -303,12 +303,13 @@ class CompiledPipeline:
                                        target=inner_target)
             prepared.append((executor, self._bind_all(executor, params, inputs)))
 
-        workers = self.target.threads or 1
-        if workers > 1 and len(items) > 1:
-            self._run_batch_threads(prepared, workers)
-        else:
-            for executor, _ in prepared:
+        from repro.codegen.parallel_runtime import ParallelRuntime
+
+        def run_items(lo: int, hi: int) -> None:
+            for executor, _ in prepared[lo:hi]:
                 executor.run()
+
+        ParallelRuntime(self.target.threads).parallel_for(run_items, 0, len(prepared))
         return [self._finalize(flat) for _, flat in prepared]
 
     def realize_stream(self, frames, **kwargs):
@@ -323,13 +324,6 @@ class CompiledPipeline:
         from repro.streaming import realize_stream
 
         return realize_stream(self, frames, **kwargs)
-
-    def _run_batch_threads(self, prepared, workers: int) -> None:
-        from repro.codegen.parallel_runtime import get_pool
-
-        pool = get_pool(workers)
-        futures = [pool.submit(executor.run) for executor, _ in prepared]
-        _drain_futures(futures)
 
     # -- run plumbing ---------------------------------------------------
     def _bind_all(self, executor, params: Optional[Dict[str, object]],
@@ -472,22 +466,6 @@ class CompiledPipeline:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CompiledPipeline({self.lowered.output.name!r}, sizes={self.sizes}, "
                 f"target={self.target}, schedule={self.schedule.digest()})")
-
-
-def _drain_futures(futures) -> List[object]:
-    """Wait for all futures; re-raise the first failure after the rest drain
-    (keeps pool state consistent — same policy as the parallel runtimes)."""
-    results, first_error = [], None
-    for future in futures:
-        try:
-            results.append(future.result())
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            results.append(None)
-            if first_error is None:
-                first_error = error
-    if first_error is not None:
-        raise first_error
-    return results
 
 
 def _options_key(options: Optional[LoweringOptions]):

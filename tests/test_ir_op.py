@@ -52,6 +52,15 @@ class TestConstantFolding:
         result = op.make_select(op.as_expr(True), 10, 20)
         assert op.const_value(result) == 10
 
+    def test_select_rejects_python_bool_condition(self):
+        # `k == 3` on an Expr is structural equality: a Python bool that
+        # would fold the select to one branch without a word.
+        k = E.Variable("k")
+        assert (k % 4 == 3) is False
+        with pytest.raises(TypeError, match=r"a\.eq\(b\) / a\.ne\(b\)"):
+            op.make_select(k % 4 == 3, k, 0)
+        assert isinstance(op.make_select((k % 4).eq(3), k, 0), E.Select)
+
 
 class TestIdentities:
     def test_add_zero(self):

@@ -54,11 +54,11 @@ def _record_coverage(runtime: ParallelRuntime, mn: int, extent: int):
     covered = []
     lock = threading.Lock()
 
-    def body(bufs, ctx, rt, lo, hi):
+    def body(lo, hi):
         with lock:
             covered.append((lo, hi))
 
-    runtime.parallel_for(body, mn, extent, {}, {})
+    runtime.parallel_for(body, mn, extent)
     return sorted(covered)
 
 
@@ -74,6 +74,8 @@ class TestParallelFor:
         covered = _record_coverage(ParallelRuntime(threads), 3, extent)
         flat = [i for lo, hi in covered for i in range(lo, hi)]
         assert sorted(flat) == list(range(3, 3 + extent))
+        if threads in (None, 1) or extent == 1:
+            assert covered == [(3, 3 + extent)]  # one inline call, no chunking
 
     def test_extent_smaller_than_chunk_count(self):
         # threads * CHUNKS_PER_WORKER chunks are requested; with extent 2 only
@@ -88,25 +90,25 @@ class TestParallelFor:
         cells = []
         lock = threading.Lock()
 
-        def outer(bufs, ctx, rt, lo, hi):
+        def outer(lo, hi):
             for i in range(lo, hi):
-                def inner(bufs, ctx, rt, jlo, jhi, i=i):
+                def inner(jlo, jhi, i=i):
                     with lock:
                         cells.extend((i, j) for j in range(jlo, jhi))
-                runtime.parallel_for(inner, 0, 5, {}, {})
+                runtime.parallel_for(inner, 0, 5)
 
-        runtime.parallel_for(outer, 0, 8, {}, {})
+        runtime.parallel_for(outer, 0, 8)
         assert sorted(cells) == [(i, j) for i in range(8) for j in range(5)]
 
     def test_worker_exception_propagates(self):
         runtime = ParallelRuntime(4)
 
-        def body(bufs, ctx, rt, lo, hi):
+        def body(lo, hi):
             if lo >= 8:
                 raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
-            runtime.parallel_for(body, 0, 16, {}, {})
+            runtime.parallel_for(body, 0, 16)
 
 
 # ---------------------------------------------------------------------------

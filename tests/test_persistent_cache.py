@@ -56,14 +56,17 @@ def _input_image(seed=0, shape=(8, 6)):
 
 SIZES = [6, 5]
 SCHEDULE = Schedule().func("serve_f").compute_root().schedule
+#: serve_g's rows in parallel, each allocating and computing its serve_f row.
+PARALLEL_SCHEDULE = (Schedule().func("serve_f").compute_at("serve_g", "y")
+                     .func("serve_g").parallel("y").schedule)
 
 
-def _compile(cache_dir, target="compiled", bind=True):
+def _compile(cache_dir, target="compiled", bind=True, schedule=SCHEDULE):
     output, img = _make_algorithm()
     if bind:
         img.set(Buffer(_input_image(), name="serve_in"))
     pipeline = Pipeline(output, disk_cache=cache_dir)
-    compiled = pipeline.compile(SIZES, schedule=SCHEDULE, target=target)
+    compiled = pipeline.compile(SIZES, schedule=schedule, target=target)
     return pipeline, compiled, img
 
 
@@ -95,15 +98,21 @@ class TestPersistence:
         assert "def _pipeline" in payload["source"]
 
     def test_warm_start_restores_without_relowering(self, tmp_path):
-        _, first, _ = _compile(tmp_path)
-        reference = first.run()
-        # A fresh Pipeline over a fresh (identical) algorithm: the disk entry
-        # must supply the program — zero lowerings, bit-identical output.
-        pipeline, compiled, _ = _compile(tmp_path)
-        info = pipeline.disk_cache_info()
-        assert info.hits == 1 and info.misses == 0
-        assert info.lowerings == 0
-        assert compiled.run().tobytes() == reference.tobytes()
+        # The parallel schedule's stored source holds its loop body as a
+        # closure; the restored program runs it on four threads.
+        for schedule, target in ((SCHEDULE, "compiled"),
+                                 (PARALLEL_SCHEDULE, Target("compiled", threads=4))):
+            _, first, _ = _compile(tmp_path, target=target, schedule=schedule)
+            reference = first.run()
+            # A fresh Pipeline over a fresh (identical) algorithm: the disk
+            # entry must supply the program — zero lowerings, bit-identical
+            # output.
+            pipeline, compiled, _ = _compile(tmp_path, target=target, schedule=schedule)
+            info = pipeline.disk_cache_info()
+            assert info.hits == 1 and info.misses == 0
+            assert info.lowerings == 0
+            assert ("parallel_for" in compiled.source()) == (schedule is PARALLEL_SCHEDULE)
+            assert compiled.run().tobytes() == reference.tobytes()
 
     def test_warm_start_across_processes(self, tmp_path):
         """A restarted process restores its program from the cache directory

@@ -423,7 +423,7 @@ _FUZZ_DIGESTS = {
     'default/10': ('c52ec212f09ee4a6', '6fb56662ed1914c7', '4198e3c0a141c914'),
     'default/11': ('4e9e521c5ae9a009', 'd168d69cb808518c', '596a9f69e21998f8'),
     'default/12': ('b853ff09d06f0aec', 'be347cca69e93898', 'f85a89a3851e104f'),
-    'default/13': ('0f5ab63506e79e0a', '5fc08be3bc7d46d7', '4c77b0923f3944b4'),
+    'default/13': ('53596ab881ac4e38', '79c33aa24d241e28', '15a26e98cda0b846'),
     'default/14': ('c443c4d1e922b055', 'e789d4bd191b5762', '360e8511dfa40e66'),
     'default/15': ('80ccaf1d813025fe', '993174c1c6aa9c71', 'deb29fb62604528d'),
     'default/16': ('80ccaf1d813025fe', '89058d8d69538ade', 'cc78518985af1676'),

@@ -3,13 +3,17 @@ first-class Schedule must reproduce scheduling the Funcs directly, bit-for-bit.
 
 The pipeline under test:
 
-    mutation path:  schedule_funcs(make_app(), name).compile(target=backend)
+    mutation path:  schedule_funcs(make_app(), name).compile(target="compiled")
     value path:     Schedule.from_funcs(mutated funcs) -> JSON ->
                     Schedule.from_json -> fresh_app.pipeline()
-                    .compile(schedule=..., target=backend).run()
+                    .compile(schedule=..., target=backend)
 
-Both paths must agree exactly on both execution backends — schedules are
-data, and serialization must not change what (or how) anything computes.
+For each backend the value path must emit the mutation path's program text:
+``source()`` renders the lowered statement every backend executes, so
+identical text is a stronger check than equal output.  Both paths then run
+on ``compiled`` (once per app x schedule) and must agree bit for bit —
+schedules are data, and serialization must not change what (or how)
+anything computes.
 """
 
 import functools
@@ -85,29 +89,45 @@ def _cases():
     for app_name, maker in _MAKERS.items():
         for schedule_name in sorted(maker().schedules):
             for backend in ("interp", "numpy"):
-                yield pytest.param(maker, schedule_name, backend,
+                yield pytest.param(app_name, schedule_name, backend,
                                    id=f"{app_name}-{schedule_name}-{backend}")
 
 
-@pytest.mark.parametrize("maker, schedule_name, backend", _cases())
-def test_schedule_round_trip_is_bit_identical(maker, schedule_name, backend):
-    # Mutation-based path (the Funcs of a dedicated app instance are scheduled).
-    mutated = schedule_funcs(maker(), schedule_name)
-    reference = mutated.compile(target=backend).run()
+@functools.lru_cache(maxsize=None)
+def _mutated(app_name, schedule_name):
+    """The mutation path on ``compiled``: its schedule, source and output."""
+    mutated = schedule_funcs(_MAKERS[app_name](), schedule_name)
+    compiled = mutated.compile(target="compiled")
+    return Schedule.from_funcs(mutated.funcs), compiled.source(), compiled.run()
 
-    # Capture the mutated Funcs as Schedule data and push it through JSON.
-    captured = Schedule.from_funcs(mutated.funcs)
+
+def _replay(app_name, schedule_name, target):
+    """The value path: the captured schedule through JSON, replayed on a
+    fresh, un-mutated algorithm graph, non-destructively."""
+    captured = _mutated(app_name, schedule_name)[0]
     restored = Schedule.from_json(captured.to_json())
     assert restored == captured and restored.digest() == captured.digest()
+    fresh = _MAKERS[app_name]()
+    return fresh.pipeline().compile(fresh.default_size, schedule=restored,
+                                    target=target)
 
-    # Replay on a *fresh, un-mutated* algorithm graph, non-destructively.
-    fresh = maker()
-    compiled = fresh.pipeline().compile(fresh.default_size, schedule=restored,
-                                        target=Target(backend=backend))
-    output = compiled.run()
+
+@functools.lru_cache(maxsize=None)
+def _replayed_output(app_name, schedule_name):
+    return _replay(app_name, schedule_name, "compiled").run()
+
+
+@pytest.mark.parametrize("app_name, schedule_name, backend", _cases())
+def test_schedule_round_trip_is_bit_identical(app_name, schedule_name, backend):
+    _, source, reference = _mutated(app_name, schedule_name)
+    replayed = _replay(app_name, schedule_name, Target(backend=backend))
+    assert replayed.source() == source, (
+        f"{schedule_name!r} for {backend!r}: the serialized schedule lowers to "
+        "a different program than the mutation-based path")
+    output = _replayed_output(app_name, schedule_name)
     assert output.dtype == reference.dtype
     assert np.array_equal(output, reference), (
-        f"{schedule_name!r} on {backend!r}: serialized-schedule output differs "
+        f"{schedule_name!r} on 'compiled': serialized-schedule output differs "
         "from the mutation-based path"
     )
 
@@ -158,14 +178,17 @@ def test_generated_schedule_json_roundtrip_digest_stable(pipeline_seed, index):
 
 @pytest.mark.parametrize("pipeline_seed", _FUZZ_PIPELINE_SEEDS)
 def test_generated_schedule_roundtrip_realize_identical(pipeline_seed):
-    """Realizing under the restored schedule is bit-identical to the original
-    (fresh Pipeline per side, so nothing is shared via the compile cache)."""
+    """The restored schedule emits the original's program text and realizes
+    bit-identically on ``compiled`` (fresh Pipeline per side, so nothing is
+    shared via the compile cache)."""
     from repro.pipeline import Pipeline
 
     built, schedules = _fuzz_pipeline_and_schedules(pipeline_seed)
     sizes = [9, 6]
     for schedule in schedules:
         restored = Schedule.from_json(schedule.to_json())
-        a = Pipeline(built.output).compile(sizes, schedule=schedule, target="numpy").run()
-        b = Pipeline(built.output).compile(sizes, schedule=restored, target="numpy").run()
+        a, b = (Pipeline(built.output).compile(sizes, schedule=s, target="compiled")
+                for s in (schedule, restored))
+        assert a.source() == b.source()
+        a, b = a.run(), b.run()
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -2,8 +2,8 @@
 
 Covers the satellite checklist: record round-trips, corruption recovery,
 concurrent writers — plus the warm-start contract (a stored winner is
-returned with zero evaluations), structural pipeline fingerprints and
-shipped pre-tuned app defaults.
+returned with zero evaluations), structural pipeline fingerprints and the
+records older versions shipped as per-app defaults.
 """
 
 import json
@@ -21,9 +21,7 @@ from repro.autotuner import (
     TuningDatabase,
     TuningRecord,
     WallClockEvaluator,
-    install_pretuned_defaults,
     pipeline_fingerprint,
-    pretuned_schedule,
 )
 from repro.autotuner.tuning_db import TUNE_DB_ENV_VAR, default_tuning_db
 from repro.lang import Buffer, Func, Var, clamp
@@ -302,40 +300,27 @@ class TestTunerIntegration:
 
 
 # ---------------------------------------------------------------------------
-# shipped pre-tuned defaults
+# per-app defaults written by older versions
 # ---------------------------------------------------------------------------
 
 class TestPretuned:
-    def test_install_and_lookup(self, tmp_path):
-        db = TuningDatabase(tmp_path)
-        written = install_pretuned_defaults(db, apps=["blur", "unsharp"])
-        assert written == ["blur", "unsharp"]
-        schedule = pretuned_schedule(db, "blur")
-        assert schedule is not None
-        rng = np.random.default_rng(3)
-        app = make_blur(rng.random((40, 28)).astype(np.float32))
-        out = app.pipeline().compile([32, 20], schedule=schedule).run()
-        ref = app.pipeline().compile([32, 20]).run()
-        assert np.allclose(out, ref)
-
-    def test_install_is_idempotent(self, tmp_path):
-        db = TuningDatabase(tmp_path)
-        assert install_pretuned_defaults(db, apps=["blur"]) == ["blur"]
-        assert install_pretuned_defaults(db, apps=["blur"]) == []
-
     def test_real_tuning_outranks_shipped_default(self, tmp_path):
+        """A ``fitness_kind="pretuned"`` record, as older versions shipped
+        them (unmeasured, fitness inf), still loads, and any tuned record
+        replaces it while it can displace neither kind."""
         db = TuningDatabase(tmp_path)
-        install_pretuned_defaults(db, apps=["blur"])
-        record = next(iter(db.records()))
-        better = TuningRecord(
-            fingerprint=record.fingerprint, sizes=record.sizes,
-            target=record.target, schedule=record.schedule,
-            fitness=123.0, fitness_kind="static-cycles")
-        assert db.record(better)
-
-    def test_missing_app_lookup_returns_none(self, tmp_path):
-        db = TuningDatabase(tmp_path)
-        assert pretuned_schedule(db, "blur") is None
+        shipped = _record(fingerprint="app:blur", sizes=(), target="*",
+                          fitness=float("inf"), kind="pretuned")
+        assert db.record(shipped)
+        loaded = db.lookup("app:blur", [], "*")
+        assert loaded is not None and loaded.fitness_kind == "pretuned"
+        for kind in ("static-cycles", "wall-seconds"):
+            tuned = _record(fingerprint="app:blur", sizes=(), target="*",
+                            fitness=1e12, kind=kind)
+            assert db.record(tuned)
+            assert not db.record(shipped)
+            assert db.lookup("app:blur", [], "*").fitness_kind == kind
+            db.record(shipped, only_if_better=False)
 
 
 # ---------------------------------------------------------------------------
