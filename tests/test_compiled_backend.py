@@ -33,7 +33,8 @@ from repro.apps import (
     make_local_laplacian,
     make_unsharp,
 )
-from repro.codegen import CompiledExecutor, NumpyExecutor
+from repro.codegen import CompiledExecutor, NumpyExecutor, ParallelRuntime
+from repro.codegen.parallel_runtime import chunk_bounds
 from repro.core.split import TailStrategy
 from repro.ir import expr as E
 from repro.ir import op
@@ -304,3 +305,60 @@ def test_compiled_abort_path_matches_interpreter():
     output, _ = _run_scatter(CompiledExecutor)
     assert np.array_equal(output, reference)
 
+
+# ---------------------------------------------------------------------------
+# parallel runtime unit behavior
+# ---------------------------------------------------------------------------
+
+def test_chunk_bounds_cover_range_exactly():
+    for mn, extent, chunks in [(0, 10, 3), (-5, 17, 4), (2, 3, 8), (0, 1, 4)]:
+        bounds = chunk_bounds(mn, extent, chunks)
+        assert bounds[0][0] == mn
+        assert bounds[-1][1] == mn + extent
+        assert all(lo < hi for lo, hi in bounds)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(bounds, bounds[1:]))
+
+
+def test_parallel_for_executes_every_iteration_once():
+    out = np.zeros(23, dtype=np.int64)
+
+    def body(lo, hi):
+        out[lo:hi] += np.arange(lo, hi)
+
+    ParallelRuntime(threads=4).parallel_for(body, 0, 23)
+    assert np.array_equal(out, np.arange(23))
+
+
+def test_parallel_for_serial_fallbacks():
+    calls = []
+
+    def body(lo, hi):
+        calls.append((lo, hi))
+
+    ParallelRuntime(threads=None).parallel_for(body, 3, 5)
+    ParallelRuntime(threads=1).parallel_for(body, 0, 4)
+    assert calls == [(3, 8), (0, 4)]  # one inline call each, no chunking
+
+
+def test_nested_parallel_for_runs_inline():
+    """Nested parallel loops must not resubmit to the bounded pool (deadlock
+    hazard); the inner loop runs serially on the worker thread."""
+    out = np.zeros((8, 8), dtype=np.int64)
+    rt = ParallelRuntime(threads=2)
+
+    def outer(lo, hi):
+        for i in range(lo, hi):
+            def inner(ilo, ihi, i=i):
+                out[i, ilo:ihi] = 1
+            rt.parallel_for(inner, 0, 8)
+
+    rt.parallel_for(outer, 0, 8)
+    assert out.all()
+
+
+def test_parallel_for_propagates_exceptions():
+    def body(lo, hi):
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        ParallelRuntime(threads=2).parallel_for(body, 0, 8)
