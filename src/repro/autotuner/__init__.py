@@ -23,12 +23,7 @@ from repro.autotuner.evaluator import (
     WallClockEvaluator,
 )
 from repro.autotuner.genetic import AutotuneResult, Autotuner, TunerConfig
-from repro.autotuner.tuning_db import (
-    TuningDatabase,
-    TuningRecord,
-    default_tuning_db,
-    pipeline_fingerprint,
-)
+from repro.autotuner.tuning_db import TuningDatabase, TuningRecord, default_tuning_db
 
 __all__ = [
     "ScheduleGenome",
@@ -47,5 +42,4 @@ __all__ = [
     "TuningDatabase",
     "TuningRecord",
     "default_tuning_db",
-    "pipeline_fingerprint",
 ]

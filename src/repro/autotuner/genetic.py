@@ -48,6 +48,7 @@ from repro.autotuner.random_schedule import (
 )
 from repro.autotuner.search_space import ScheduleGenome
 from repro.core.function import Function
+from repro.core.program_key import pipeline_fingerprint
 from repro.core.schedule import ScheduleError
 from repro.pipeline import Pipeline
 
@@ -271,8 +272,6 @@ class Autotuner:
     # tuning database
     # ------------------------------------------------------------------
     def _database_key(self) -> Tuple[str, List[int], str]:
-        from repro.autotuner.tuning_db import pipeline_fingerprint
-
         fingerprint = pipeline_fingerprint(self.pipeline)
         sizes = [int(s) for s in self.evaluator.sizes]
         target = repr(self.evaluator.target.key())

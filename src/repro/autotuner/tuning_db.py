@@ -10,13 +10,11 @@ like :mod:`repro.runtime.disk_cache`) mapping
 so later runs of the same search warm-start to the stored winner with zero
 re-measurements, in any process with ``REPRO_TUNE_DB`` set.
 
-The pipeline fingerprint is *structural*: the pretty-printed definitions of
-every reachable stage (names, arguments, right-hand sides, reduction
-domains).  Unlike ``Function.definition_version`` — a process-local counter —
-the structural fingerprint is stable across processes and runs, which is what
-makes cross-run reuse possible.  It deliberately excludes bound input-image
-shapes: a schedule tuned for one input resolution is the right default for
-another, and the output ``sizes`` (which dominate cost) are part of the key.
+The fingerprint (:func:`repro.core.program_key.pipeline_fingerprint`) is
+stable across processes and runs, which makes cross-run reuse possible.  It
+deliberately excludes bound input-image shapes: a schedule tuned for one
+input resolution is the right default for another, and the output ``sizes``
+(which dominate cost) are part of the key.
 
 Writes are atomic (``mkstemp`` + ``os.replace``) and best-if-better: a record
 only overwrites an existing one when its fitness kind matches and its fitness
@@ -38,7 +36,6 @@ __all__ = [
     "TUNE_DB_ENV_VAR",
     "TuningRecord",
     "TuningDatabase",
-    "pipeline_fingerprint",
     "default_tuning_db",
 ]
 
@@ -46,42 +43,6 @@ TUNE_DB_ENV_VAR = "REPRO_TUNE_DB"
 
 #: Bump when the record layout changes; older records are treated as misses.
 FORMAT_VERSION = 1
-
-
-def pipeline_fingerprint(pipeline) -> str:
-    """A process-stable digest of the pipeline's algorithm (not its schedule).
-
-    Every reachable function contributes its name, argument list, and the
-    pretty-printed form of each definition (pure value, update coordinates
-    and values, reduction-domain bounds).  Two pipelines built independently
-    from the same algorithm text fingerprint identically; changing any stage's
-    definition changes the fingerprint, so stale schedules are never reused.
-    """
-    from repro.analysis.call_graph import build_environment
-    from repro.ir.printer import pretty_print
-    from repro.pipeline import Pipeline
-
-    if isinstance(pipeline, Pipeline):
-        output = pipeline.output_function
-    else:  # a bare output Func
-        output = getattr(pipeline, "func", pipeline)
-    env = build_environment([output])
-    parts: List[str] = [f"output={output.name}"]
-    for name in sorted(env):
-        func = env[name]
-        parts.append(f"func {name}({', '.join(func.args)})")
-        if func.definition is not None:
-            parts.append(f"  = {pretty_print(func.definition.value)}")
-        for update in func.updates:
-            coords = ", ".join(pretty_print(a) for a in update.args)
-            parts.append(f"  [{coords}] = {pretty_print(update.value)}")
-            if update.rdom is not None:
-                for rvar in update.rdom:
-                    parts.append(
-                        f"  rdom {rvar.name}: {pretty_print(rvar.min)}"
-                        f" + {pretty_print(rvar.extent)}")
-    text = "\n".join(parts)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 @dataclass

@@ -49,17 +49,16 @@ simd`` on provably disjoint ramp stores), which is the paper's "let the
 backend pick the SIMD instructions" division of labour.
 
 The generated source is deterministic for a given lowering (OpenMP pragmas
-are always emitted and simply ignored by non-OpenMP builds), so its SHA-256
-digest keys the on-disk ``.so`` blob next to the persistent-cache entry: a
-warm start loads the cached shared object with zero lowerings *and* zero
-C-compiler invocations.
+are always emitted and simply ignored by non-OpenMP builds), so its digest
+with the build command (``Toolchain.build_digest``) names the on-disk ``.so``
+blob next to the persistent-cache entry: a warm start loads the cached
+shared object with zero lowerings *and* zero C-compiler invocations.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import sys
 import tempfile
@@ -1005,8 +1004,8 @@ class NativeProgram:
         self.fscalar_names = [str(n) for n in meta["fscalar_names"]]
         self.assert_messages = [str(m) for m in meta["assert_messages"]]
         self.callback_slots = [(str(n), int(b)) for n, b in meta["callback_slots"]]
-        #: Content hash of the source; names the on-disk ``.so`` blob.
-        self.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        #: Names the ``.so`` blob; set by the build (``Toolchain.build_digest``).
+        self.digest: Optional[str] = None
         self.so_path: Optional[str] = None
         self._lib = None
         self._entry = None
@@ -1113,6 +1112,7 @@ def generate_c_source(lowered: LoweredPipeline) -> Tuple[str, Dict[str, object]]
 
 def _build_program(program: NativeProgram) -> NativeProgram:
     """Compile ``program.source`` (unless an identical build exists) and load."""
+    program.digest = ensure_toolchain().build_digest(program.source)
     so_path = os.path.join(_work_dir(), f"{program.digest}.so")
     if not os.path.exists(so_path):
         compile_shared_object(program.source, so_path)

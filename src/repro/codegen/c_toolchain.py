@@ -25,6 +25,7 @@ shared object.  This module owns everything platform-shaped about that step:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -82,6 +83,11 @@ class Toolchain:
         if self.openmp:
             flags.append("-fopenmp")
         return flags
+
+    def build_digest(self, source: str) -> str:
+        """Names the shared object built from ``source`` by this compiler with
+        these flags, so a build made otherwise is never reused."""
+        return hashlib.sha256("\0".join([self.cc, *self.flags(), source]).encode()).hexdigest()
 
 
 _PROBE_LOCK = threading.Lock()

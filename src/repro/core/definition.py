@@ -38,9 +38,6 @@ class ReductionDomain:
     def __init__(self, variables: Sequence[ReductionVariable]):
         self.variables: List[ReductionVariable] = list(variables)
 
-    def var_names(self) -> List[str]:
-        return [v.name for v in self.variables]
-
     def __len__(self) -> int:
         return len(self.variables)
 

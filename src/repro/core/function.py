@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence
 
 from repro.core.definition import Definition, ReductionDomain, UpdateDefinition
+from repro.core.program_key import fold_definition
 from repro.core.schedule import FuncSchedule, ScheduleError
 from repro.ir import expr as E
 from repro.types import Type
@@ -32,9 +33,8 @@ class Function:
         self.updates: List[UpdateDefinition] = []
         self.output_type: Optional[Type] = None
         self.schedule: Optional[FuncSchedule] = None
-        #: Bumped on every (re)definition; the compilation cache keys on it so
-        #: algorithm changes between realizations are never served stale.
-        self.definition_version: int = 0
+        #: Digest of every definition so far; keys the caches (``program_key``).
+        self.digest: str = ""
 
     # ------------------------------------------------------------------
     # definition
@@ -50,7 +50,7 @@ class Function:
         self.definition = Definition(args, value)
         self.output_type = value.type
         self.schedule = FuncSchedule(args)
-        self.definition_version += 1
+        self.digest = fold_definition(self.digest, self.definition.args, value)
 
     def define_update(self, args: Sequence[E.Expr], value: E.Expr,
                       rdom: Optional[ReductionDomain] = None) -> None:
@@ -69,7 +69,7 @@ class Function:
         if value.type != self.output_type:
             value = op.cast(self.output_type, value)
         self.updates.append(UpdateDefinition(args, value, rdom))
-        self.definition_version += 1
+        self.digest = fold_definition(self.digest, self.updates[-1].args, value, rdom)
 
     # ------------------------------------------------------------------
     # queries
@@ -79,9 +79,6 @@ class Function:
 
     def has_updates(self) -> bool:
         return bool(self.updates)
-
-    def is_reduction(self) -> bool:
-        return self.has_updates()
 
     @property
     def args(self) -> List[str]:

@@ -161,20 +161,6 @@ class Schedule:
                 schedules[function.name] = function.schedule
         return cls.from_func_schedules(schedules)
 
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "Schedule":
-        """Capture the schedules of every function reachable from a pipeline.
-
-        ``pipeline`` is a :class:`~repro.pipeline.Pipeline`, a Func, or a core
-        Function.
-        """
-        from repro.analysis.call_graph import build_environment
-
-        root = getattr(pipeline, "output_function", None)
-        if root is None:
-            root = getattr(pipeline, "function", pipeline)
-        return cls.from_funcs(build_environment([root]))
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

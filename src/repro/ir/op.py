@@ -173,9 +173,22 @@ _FOLDERS = {
 }
 
 
+def _operand(value, role: str = "an operand") -> Expr:
+    """:func:`as_expr` for an operator's operand.  A Python ``bool`` is what
+    ``a == b`` on Exprs gives (structural equality); taken as a constant it
+    would silently fold the expression, so it is rejected."""
+    if isinstance(value, Expr):
+        return value
+    if isinstance(value, bool):
+        raise TypeError(
+            f"{role} is a Python bool, not an Expr; `==`/`!=` on Exprs compare "
+            "structure, so write a.eq(b) / a.ne(b) to compare values")
+    return as_expr(value)
+
+
 def make_binary(node_class: PyType, a, b) -> Expr:
     """Construct a binary arithmetic node with constant folding."""
-    ea, eb = as_expr(a), as_expr(b)
+    ea, eb = _operand(a), _operand(b)
     # Let numeric literals adopt the other operand's element type so that
     # e.g. ``x + 1`` with x float32 stays float32 rather than promoting.
     if is_const(ea) and not is_const(eb):
@@ -280,7 +293,7 @@ def make_compare(node_class: PyType, a, b) -> Expr:
 
 def make_logical(node_class: PyType, a, b) -> Expr:
     """Construct a logical and/or node with constant folding."""
-    ea, eb = as_expr(a), as_expr(b)
+    ea, eb = _operand(a), _operand(b)
     if is_const(ea) and is_const(eb):
         va, vb = bool(const_value(ea)), bool(const_value(eb))
         value = (va and vb) if node_class is And else (va or vb)
@@ -326,15 +339,8 @@ def make_not(a) -> Expr:
 
 
 def make_select(condition, true_value, false_value) -> Expr:
-    """Construct a select with type matching and constant-condition folding.
-
-    A Python ``bool`` condition is rejected: it is what ``a == b`` on Exprs
-    gives (structural equality), which would silently fold the select."""
-    if isinstance(condition, bool):
-        raise TypeError(
-            "select() condition is a Python bool, not an Expr; `==`/`!=` on "
-            "Exprs compare structure, so write a.eq(b) / a.ne(b) to compare values")
-    c = as_expr(condition)
+    """Construct a select with type matching and constant-condition folding."""
+    c = _operand(condition, "select() condition")
     tv, fv = as_expr(true_value), as_expr(false_value)
     if is_const(tv) and not is_const(fv) and _safe_literal_cast(tv, fv.type):
         tv = cast(fv.type.element_of(), tv)

@@ -14,7 +14,7 @@ schedules set directly on the Funcs are used.  ``target`` is a
 :class:`~repro.runtime.Target` (a backend name string is coerced).
 
 Compiled pipelines are cached per Pipeline in a bounded LRU keyed by
-(schedule digest, sizes, target, lowering options): repeated
+(schedule digest, sizes, target, lowering options, algorithm): repeated
 :meth:`Pipeline.compile` calls — tests, benchmarks, autotuner generations —
 hit the cache and skip lowering entirely.  :meth:`Pipeline.cache_info`
 exposes the hit/miss counters; every backend must produce bit-identical
@@ -35,6 +35,7 @@ from repro.analysis.call_graph import build_environment
 from repro.compiler.lower import LoweredPipeline, LoweringOptions, lower
 from repro.core.function import Function
 from repro.core.pipeline_schedule import Schedule, as_schedule
+from repro.core.program_key import algorithm_key, disk_key_string
 from repro.ir import expr as E
 from repro.ir.visitor import IRVisitor
 from repro.runtime.backend import create_executor
@@ -468,17 +469,6 @@ class CompiledPipeline:
                 f"target={self.target}, schedule={self.schedule.digest()})")
 
 
-def _options_key(options: Optional[LoweringOptions]):
-    return astuple(options) if options is not None else None
-
-
-def _algorithm_key(env: Dict[str, Function]):
-    """Fingerprint of the algorithm graph: every reachable function's name and
-    definition version.  Redefining a stage (e.g. adding an update) between
-    realizations changes this key, so cached compilations never go stale."""
-    return tuple(sorted((name, func.definition_version) for name, func in env.items()))
-
-
 def _image_array(image_target) -> Optional[np.ndarray]:
     """The ndarray currently bound to a Buffer / ImageParam (None if unbound)."""
     if hasattr(image_target, "array"):
@@ -506,21 +496,9 @@ def _cache_key(schedule: Schedule, sizes: Optional[Sequence[int]],
                target: Target, options: Optional[LoweringOptions],
                env: Dict[str, Function], images: Dict[str, object]):
     sizes_key = tuple(int(s) for s in sizes) if sizes is not None else None
-    return (schedule.digest(), sizes_key, target.key(), _options_key(options),
-            _algorithm_key(env), _images_key(images))
-
-
-def _disk_key_string(key) -> str:
-    """The printable, process-stable form of a compile-cache key.
-
-    The key tuple is built from primitives only (digests, names, ints), so
-    its ``repr`` is deterministic across processes — that is what makes
-    warm starts hit.  The package version is prepended so an upgrade never
-    reuses programs generated by older codegen.
-    """
-    from repro import __version__
-
-    return f"repro/{__version__}/{key!r}"
+    options_key = astuple(options) if options is not None else None
+    return (schedule.digest(), sizes_key, target.key(), options_key,
+            algorithm_key(env), _images_key(images))
 
 
 class Pipeline:
@@ -560,7 +538,8 @@ class Pipeline:
         the Funcs are captured and used.
 
         Results are cached per Pipeline in a bounded LRU keyed by (schedule
-        digest, sizes, target, options); a hit skips all lowering work.
+        digest, sizes, target, options, algorithm, images); a hit skips all
+        lowering work.
         """
         if sizes is None:
             raise ValueError("compile() requires concrete output sizes; "
@@ -572,7 +551,7 @@ class Pipeline:
             sched = as_schedule(schedule)
         else:
             # Capture the Funcs' current schedules: together with the
-            # algorithm fingerprint this keys the cache, so in-place
+            # algorithm key this keys the cache, so in-place
             # re-scheduling or re-definition between calls is never stale.
             sched = Schedule.from_funcs(env.values())
 
@@ -590,7 +569,7 @@ class Pipeline:
         # a content-addressed .so blob — which survive a process restart).
         disk = self._resolve_disk_cache() \
             if target.backend in ("compiled", "native") else None
-        key_str = _disk_key_string(key) if disk is not None else None
+        key_str = disk_key_string(key) if disk is not None else None
         if disk is not None:
             payload = disk.load(key_str)
             if payload is not None:

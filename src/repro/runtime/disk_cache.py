@@ -15,9 +15,9 @@ blob degrades to recompiling the stored C source (still zero lowerings).
 
 Design constraints, in order:
 
-* **Never wrong**: entries embed the full cache-key string and a format
-  version; both must match exactly on load, so a hash collision or a format
-  change degrades to a recompile, never a wrong program.
+* **Only as right as its key**: an entry embeds its key string, which must
+  match on load.  The key (:mod:`repro.core.program_key`) names what the
+  program depends on, this payload's layout included (the compiler digest).
 * **Never crash**: a truncated, corrupt, or unreadable file counts as a
   miss (tracked in :attr:`PersistentCache.errors`) and is recompiled over.
 * **Concurrent-writer safe**: stores write to a temp file in the same
@@ -50,9 +50,6 @@ __all__ = ["PersistentCache", "CACHE_DIR_ENV_VAR", "CACHE_MAX_BYTES_ENV_VAR",
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 
-#: Bump when the payload layout changes; old entries then read as misses.
-FORMAT_VERSION = 1
-
 #: Default size bound for the cache directory (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
@@ -81,10 +78,10 @@ class PersistentCache:
     """A directory of compiled-program entries keyed by exact key strings.
 
     ``key_str`` is the printable form of the Pipeline compile-cache key
-    (schedule digest, sizes, target, options, algorithm fingerprint, image
-    shapes) — anything that would change the generated program changes the
-    string.  Filenames are a hash of the key; the key itself is stored in
-    the entry and compared on load, so collisions cannot alias.
+    (:mod:`repro.core.program_key`) — anything that would change the
+    generated program changes the string.  Filenames are a hash of the
+    key; the key itself is stored in the entry and compared on load, so
+    collisions cannot alias.
     """
 
     def __init__(self, directory, max_bytes: Optional[int] = None):
@@ -115,12 +112,10 @@ class PersistentCache:
             return None
         try:
             payload = json.loads(data)
-            if payload.get("format") != FORMAT_VERSION or \
-                    payload.get("key") != key_str or \
-                    not isinstance(payload.get("source"), str):
+            if payload.get("key") != key_str or not isinstance(payload.get("source"), str):
                 raise ValueError("stale or foreign cache entry")
         except Exception:
-            # Truncated write, corruption, format drift: recompile over it.
+            # Truncated write, corruption: recompile over it.
             self.errors += 1
             return None
         self.hits += 1
@@ -140,7 +135,6 @@ class PersistentCache:
         """
         path = self._path(key_str)
         record = dict(payload)
-        record["format"] = FORMAT_VERSION
         record["key"] = key_str
         try:
             self.directory.mkdir(parents=True, exist_ok=True)

@@ -61,6 +61,18 @@ class TestConstantFolding:
             op.make_select(k % 4 == 3, k, 0)
         assert isinstance(op.make_select((k % 4).eq(3), k, 0), E.Select)
 
+    def test_operators_reject_python_bool_operands(self):
+        # The same trap in arithmetic and logic: `x + (x == 3)` built `x` and
+        # `(x % 2 == 1) & (x < 3)` built the constant 0.
+        x = E.Variable("x")
+        for build in (lambda: x + (x == 3), lambda: (x == 3) * x,
+                      lambda: (x % 2 == 1) & (x < 3), lambda: (x < 3) | (x == 1),
+                      lambda: op.max_(x, x != 3)):
+            with pytest.raises(TypeError, match=r"a\.eq\(b\) / a\.ne\(b\)"):
+                build()
+        assert isinstance(x + x.eq(3), E.Add)
+        assert isinstance((x % 2).eq(1) & (x < 3), E.And)
+
 
 class TestIdentities:
     def test_add_zero(self):

@@ -201,6 +201,39 @@ def test_evicted_blob_degrades_to_source_recompile(tmp_path):
     assert c_toolchain.compile_count == before + 1
 
 
+def test_blob_name_covers_the_build_command(monkeypatch):
+    source = "int f(void) { return 1; }\n"
+    gcc = c_toolchain.Toolchain(cc="gcc", openmp=False)
+    name = gcc.build_digest(source)
+    assert name == gcc.build_digest(source)
+    assert name != gcc.build_digest(source + "\n")
+    assert name != c_toolchain.Toolchain(cc="clang", openmp=False).build_digest(source)
+    assert name != c_toolchain.Toolchain(cc="gcc", openmp=True).build_digest(source)
+    monkeypatch.setattr(c_toolchain, "BASE_FLAGS", c_toolchain.BASE_FLAGS + ("-O2",))
+    assert name != gcc.build_digest(source)
+
+
+@pytest.mark.native
+def test_edited_build_flags_never_load_the_old_blob(tmp_path, monkeypatch):
+    """An edit to the build flags rolls the JSON key (the flags live in a
+    package source) and the blob name, so the next start builds anew
+    instead of loading the shared object built with the old flags."""
+    from repro.core import program_key
+
+    sched = _blur_app().named_schedule("tuned")
+    Pipeline(_blur_app().output, disk_cache=tmp_path).compile(
+        [32, 20], schedule=sched, target=Target("native"))
+    old_blobs = {p.name for p in tmp_path.glob("*.so")}
+    monkeypatch.setattr(c_toolchain, "BASE_FLAGS", c_toolchain.BASE_FLAGS + ("-O2",))
+    monkeypatch.setattr(program_key, "compiler_digest", lambda: "edited-sources")
+    before = c_toolchain.compile_count
+    warm = Pipeline(_blur_app().output, disk_cache=tmp_path)
+    warm.compile([32, 20], schedule=sched, target=Target("native"))
+    assert warm.disk_cache_info().misses == 1
+    assert c_toolchain.compile_count == before + 1
+    assert len({p.name for p in tmp_path.glob("*.so")} - old_blobs) == 1
+
+
 @pytest.mark.native
 def test_dropping_a_restored_pipeline_leaves_its_sibling_callable(tmp_path):
     """Two restores of one cached ``.so`` share a library handle, hence its

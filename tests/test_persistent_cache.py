@@ -4,7 +4,7 @@ batched execution API (``CompiledPipeline.realize_batch``).
 The cache's contract, in order of importance:
 
 * **never wrong** — a warm start must produce bit-identical output, and any
-  change to the algorithm (``definition_version``), schedule, sizes, target,
+  change to the algorithm (its definition digests), schedule, sizes, target,
   or bound-image shapes must miss;
 * **never crash** — truncated, garbage, or semantically-broken entries are
   recompiled over (counted in ``errors``), not raised to the user;
@@ -30,21 +30,22 @@ import numpy as np
 import pytest
 
 from repro.lang import Buffer, Func, ImageParam, Var, clamp
-from repro.pipeline import CompiledPipeline, DiskCacheInfo, Pipeline, _disk_key_string
+from repro.core.program_key import disk_key_string
+from repro.pipeline import CompiledPipeline, DiskCacheInfo, Pipeline
 from repro.runtime.disk_cache import PersistentCache
 from repro.runtime.target import Target
 from repro.core.pipeline_schedule import Schedule
 from repro.types import Float
 
 
-def _make_algorithm():
+def _make_algorithm(scale=2.0):
     """A two-stage pipeline over an ImageParam, rebuilt identically per call
-    (same function names and definition versions), so separate builds produce
-    the same cache key — the warm-start scenario within one process."""
+    (same function names and definitions), so separate builds produce the
+    same cache key — the warm-start scenario within one process."""
     x, y = Var("x"), Var("y")
     img = ImageParam(Float(32), 2, name="serve_in")
     f, g = Func("serve_f"), Func("serve_g")
-    f[x, y] = img[clamp(x, 0, 7), clamp(y, 0, 5)] * 2.0
+    f[x, y] = img[clamp(x, 0, 7), clamp(y, 0, 5)] * scale
     g[x, y] = f[x, y] + 1.0
     return g, img
 
@@ -94,7 +95,7 @@ class TestPersistence:
         entries = list(tmp_path.glob("*.json"))
         assert len(entries) == 1
         payload = json.loads(entries[0].read_text())
-        assert payload["key"] == _disk_key_string(compiled.key())
+        assert payload["key"] == disk_key_string(compiled.key())
         assert "def _pipeline" in payload["source"]
 
     def test_warm_start_restores_without_relowering(self, tmp_path):
@@ -165,13 +166,14 @@ class TestPersistence:
 # ---------------------------------------------------------------------------
 
 class TestInvalidation:
-    def test_definition_version_bump_misses(self, tmp_path):
+    def test_redefinition_misses(self, tmp_path):
         output, img = _make_algorithm()
         img.set(Buffer(_input_image(), name="serve_in"))
         Pipeline(output, disk_cache=tmp_path).compile(
             SIZES, schedule=SCHEDULE, target="compiled")
-        # Redefine a stage: the algorithm fingerprint embeds every function's
-        # definition_version, so the stored entry must not be reused.
+        # Add an update to a stage: the key holds every function's definition
+        # digest, which now covers the update, so the stored entry must not
+        # be reused.
         x, y = Var("x"), Var("y")
         output[x, y] = output[x, y] + 100.0
         pipeline = Pipeline(output, disk_cache=tmp_path)
@@ -181,6 +183,15 @@ class TestInvalidation:
         out = compiled.run()
         interp = Pipeline(output).compile(SIZES, schedule=SCHEDULE, target="interp").run()
         assert out.tobytes() == interp.tobytes()
+
+    def test_same_names_other_content_misses(self, tmp_path):
+        _compile(tmp_path)
+        output, img = _make_algorithm(scale=3.0)
+        img.set(Buffer(_input_image(), name="serve_in"))
+        pipeline = Pipeline(output, disk_cache=tmp_path)
+        compiled = pipeline.compile(SIZES, schedule=SCHEDULE, target="compiled")
+        assert pipeline.disk_cache_info().hits == 0
+        assert np.array_equal(compiled.run(), _input_image()[:6, :5] * np.float32(3) + 1)
 
     def test_schedule_and_sizes_key_separately(self, tmp_path):
         cache = PersistentCache(tmp_path)
@@ -238,17 +249,6 @@ class TestCorruption:
         info = pipeline.disk_cache_info()
         assert info.errors == 1 and info.lowerings == 1
         assert compiled.run() is not None
-
-    def test_stale_format_version_is_a_miss_not_an_error(self, tmp_path):
-        _compile(tmp_path)
-        path = self._entry_path(tmp_path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["format"] = -1
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        cache = PersistentCache(tmp_path)
-        key_str = payload["key"]
-        assert cache.load(key_str) is None
-        assert cache.errors == 1 and cache.hits == 0
 
     def test_foreign_key_in_entry_cannot_alias(self, tmp_path):
         """Filenames are hashes; the embedded key must match exactly, so a

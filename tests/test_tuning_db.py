@@ -21,9 +21,9 @@ from repro.autotuner import (
     TuningDatabase,
     TuningRecord,
     WallClockEvaluator,
-    pipeline_fingerprint,
 )
 from repro.autotuner.tuning_db import TUNE_DB_ENV_VAR, default_tuning_db
+from repro.core.program_key import pipeline_fingerprint
 from repro.lang import Buffer, Func, Var, clamp
 from repro.machine import SMALL_CACHE_CPU
 from repro.pipeline import Pipeline
